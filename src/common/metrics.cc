@@ -208,7 +208,13 @@ std::string SnapshotToJson(const MetricsSnapshot& snap) {
       for (const auto& [low, n] : e.buckets) {
         if (!bfirst) out.push_back(',');
         bfirst = false;
-        out += "[" + std::to_string(low) + "," + std::to_string(n) + "]";
+        // Appends, not a `"[" + ...` chain: GCC 12 -O3 raises a false
+        // -Werror=restrict on the chained form.
+        out += '[';
+        out += std::to_string(low);
+        out += ',';
+        out += std::to_string(n);
+        out += ']';
       }
       out += "]";
     } else {

@@ -196,8 +196,16 @@ Result<Value> BinaryExpr::Eval(const EvalContext& ctx) const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + BinaryOpName(op_) + " " +
-         rhs_->ToString() + ")";
+  // Appends, not a `"(" + ...` chain: GCC 12 -O3 raises a false
+  // -Werror=restrict on the chained form.
+  std::string out = "(";
+  out += lhs_->ToString();
+  out += ' ';
+  out += BinaryOpName(op_);
+  out += ' ';
+  out += rhs_->ToString();
+  out += ')';
+  return out;
 }
 
 Result<Value> NotExpr::Eval(const EvalContext& ctx) const {

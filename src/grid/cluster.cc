@@ -46,31 +46,32 @@ struct GridMetrics {
   }
 };
 
-// Process-wide default for GridNetOptions::fault_seed; set by the
-// session `set net_faults` knob, read by the two-argument constructor.
-std::atomic<uint64_t>& DefaultFaultSeedSlot() {
-  static std::atomic<uint64_t> seed{0};
-  return seed;
-}
-
-// Same pattern for GridNetOptions::replication (`set replication`).
-std::atomic<int>& DefaultReplicationSlot() {
-  static std::atomic<int> k{1};
-  return k;
-}
-
-GridNetOptions DefaultNetOptions() {
-  GridNetOptions net;
-  net.fault_seed = DefaultFaultSeedSlot().load();
-  net.replication = DefaultReplicationSlot().load();
-  return net;
-}
-
 // RPC outcomes that mean "the peer may be gone" — the ones failover and
 // failure detection react to. Anything else (Invalid, Corruption, a
 // server-side error Status) is a real answer from a live node.
 bool IsPeerFailure(const Status& s) {
   return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
+// Folds the chunks of `part` into `*into` — the one shard union behind
+// every parallel operator's result and FetchSlot's failover merge. A
+// chunk whose origin is still free is adopted whole (shared, not
+// copied). When two parts hold the same origin — a boundary replica
+// (ReplicateBoundaries) beside its owner's chunk — the incoming cells are
+// upserted one by one into a private copy, so no cell is lost and a cell
+// held twice counts once. Empty chunks add nothing.
+void UnionInto(const MemArray& part, MemArray* into) {
+  for (const auto& [origin, chunk] : part.chunks()) {
+    if (chunk->present_count() == 0) continue;
+    if (into->mutable_chunks()->emplace(origin, chunk).second) continue;
+    Chunk* dst = into->GetOrCreateChunk(origin);  // copy-on-write
+    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
+      for (size_t a = 0; a < chunk->nattrs(); ++a) {
+        dst->block(a).Set(it.rank(), chunk->block(a).Get(it.rank()));
+      }
+      dst->MarkPresent(it.rank());
+    }
+  }
 }
 
 }  // namespace
@@ -87,27 +88,6 @@ MetricsSnapshot ClusterMetrics::Labeled() const {
   }
   return out;
 }
-
-void DistributedArray::SetDefaultFaultSeed(uint64_t seed) {
-  DefaultFaultSeedSlot().store(seed);
-}
-
-uint64_t DistributedArray::DefaultFaultSeed() {
-  return DefaultFaultSeedSlot().load();
-}
-
-void DistributedArray::SetDefaultReplication(int k) {
-  DefaultReplicationSlot().store(k < 1 ? 1 : k);
-}
-
-int DistributedArray::DefaultReplication() {
-  return DefaultReplicationSlot().load();
-}
-
-DistributedArray::DistributedArray(
-    ArraySchema schema, std::shared_ptr<const Partitioner> partitioner)
-    : DistributedArray(std::move(schema), std::move(partitioner),
-                       DefaultNetOptions()) {}
 
 DistributedArray::DistributedArray(
     ArraySchema schema, std::shared_ptr<const Partitioner> partitioner,
@@ -391,9 +371,9 @@ Result<MemArray> DistributedArray::FetchSlot(
 
   // Failover read: every survivor is asked for slot `slot`'s chunks with
   // the suspect set attached; exactly one node serves each chunk (its
-  // first live replica), so the union below never double-counts. A
-  // survivor failing mid-failover joins the suspects and the pass
-  // restarts.
+  // first live replica), and the union below counts a cell once even if
+  // two did. A survivor failing mid-failover joins the suspects and the
+  // pass restarts.
   GridMetrics::Get().failover_reads->Inc();
   if (FlightRecorder::enabled()) {
     FlightRecorder::Instance().RecordAt(
@@ -423,11 +403,7 @@ Result<MemArray> DistributedArray::FetchSlot(
         break;
       }
       RecordCallResult(n, true);
-      for (const auto& [origin, chunk] : r.value().chunks()) {
-        // Replicas are byte-identical, so an upsert is a no-op on the
-        // (impossible) duplicate.
-        (*merged.mutable_chunks())[origin] = chunk;
-      }
+      UnionInto(r.value(), &merged);
     }
     if (restart) continue;
     if (pred == nullptr) {
@@ -890,112 +866,10 @@ Result<int64_t> DistributedArray::Repartition(
   return bytes_moved;
 }
 
-Result<MemArray> DistributedArray::ParallelAggregate(
-    const ExecContext& ctx, const std::vector<std::string>& dims,
-    const std::string& agg, const std::string& attr) {
-  // Per-node partial aggregation into mergeable state maps on fan-out
-  // workers, then a coordinator merge (AggregateState::Merge). Finalized
-  // values cannot be merged (avg of avgs is wrong), hence states travel,
-  // not results — and since states have no wire form, the shard contents
-  // travel instead (ScanShard data shipping) and the partials are built
-  // coordinator-side.
-  if (ctx.aggregates == nullptr) {
-    return Status::Internal("no aggregate registry");
-  }
+Result<MemArray> DistributedArray::FetchUnion(const char* label,
+                                              const ExprPtr& pred) {
   GridMetrics::Get().parallel_ops->Inc();
-  ASSIGN_OR_RETURN(const AggregateFunction* afn, ctx.aggregates->Find(agg));
-
-  std::vector<size_t> gidx;
-  for (const auto& g : dims) {
-    ASSIGN_OR_RETURN(size_t di, schema_.DimIndex(g));
-    gidx.push_back(di);
-  }
-  size_t attr_idx = 0;
-  if (attr != "*") {
-    ASSIGN_OR_RETURN(attr_idx, schema_.AttrIndex(attr));
-  }
-
-  TraceNode* child = TraceChild("grid.parallel_aggregate");
-  const TraceContext tctx = BeginOpTrace();
-  std::atomic<int64_t> failovers{0};
-  std::vector<std::map<Coordinates, std::unique_ptr<AggregateState>>>
-      node_states(static_cast<size_t>(num_nodes()));
-  {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(FanoutPool()->ParallelFor(
-        num_nodes(), [&](int64_t node) -> Status {
-          ASSIGN_OR_RETURN(MemArray partial,
-                           FetchSlot(static_cast<int>(node), nullptr, tctx,
-                                     &failovers));
-          auto& groups = node_states[static_cast<size_t>(node)];
-          Status acc;
-          partial.ForEachCell(
-              [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-                Coordinates key;
-                if (gidx.empty()) {
-                  key.push_back(1);
-                } else {
-                  for (size_t d : gidx) key.push_back(c[d]);
-                }
-                auto it = groups.find(key);
-                if (it == groups.end()) {
-                  it = groups.emplace(std::move(key), afn->NewState()).first;
-                }
-                Status s =
-                    it->second->Accumulate(chunk.block(attr_idx).Get(rank));
-                if (!s.ok()) {
-                  acc = s;
-                  return false;
-                }
-                return true;
-              });
-          return acc;
-        }));
-  }
-  if (child != nullptr) {
-    child->AddNote("net.rpcs", static_cast<double>(num_nodes()));
-    if (failovers.load() > 0) {
-      child->AddNote("failover", static_cast<double>(failovers.load()));
-    }
-  }
-  StitchOpTrace(child, tctx);
-  MaybeRecover();
-
-  // Coordinator merge, in node order (deterministic at every width).
-  std::map<Coordinates, std::unique_ptr<AggregateState>> merged;
-  for (auto& groups : node_states) {
-    for (auto& [key, state] : groups) {
-      auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, std::move(state));
-      } else {
-        RETURN_NOT_OK(it->second->Merge(*state));
-      }
-    }
-  }
-
-  std::vector<DimensionDesc> out_dims;
-  for (size_t d : gidx) out_dims.push_back(schema_.dim(d));
-  if (out_dims.empty()) out_dims.push_back({"all", 1, 1, 1});
-  ArraySchema out_schema(schema_.name() + "_agg", std::move(out_dims),
-                         {AggOutputAttr(agg)});
-  MemArray out(out_schema);
-  for (const auto& [key, state] : merged) {
-    RETURN_NOT_OK(out.SetCell(key, state->Finalize()));
-  }
-  return out;
-}
-
-Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
-                                                     const ExprPtr& pred) {
-  GridMetrics::Get().parallel_ops->Inc();
-  // Ship the execution environment so every node can evaluate the
-  // predicate (in a real grid the registry is replicated at deploy).
-  for (auto& svc : services_) {
-    svc->SetExecEnv(ctx.functions, ctx.enable_chunk_pruning);
-  }
-  TraceNode* child = TraceChild("grid.parallel_subsample");
+  TraceNode* child = TraceChild(label);
   const TraceContext tctx = BeginOpTrace();
   std::atomic<int64_t> failovers{0};
   std::vector<Result<MemArray>> partials(
@@ -1021,27 +895,39 @@ Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
   MaybeRecover();
 
   MemArray out(schema_);
-  out.mutable_schema()->set_name(schema_.name() + "_subsample");
-  std::vector<Value> cell;
-  for (auto& partial : partials) {
+  for (const Result<MemArray>& partial : partials) {
     RETURN_NOT_OK(partial.status());
-    Status st;
-    bool failed = false;
-    partial.value().ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
+    UnionInto(partial.value(), &out);
   }
+  return out;
+}
+
+Result<MemArray> DistributedArray::ParallelAggregate(
+    const ExecContext& ctx, const std::vector<std::string>& dims,
+    const std::string& agg, const std::string& attr) {
+  ASSIGN_OR_RETURN(MemArray all,
+                   FetchUnion("grid.parallel_aggregate", nullptr));
+  // exec's Aggregate over the union is the single-node computation on the
+  // same chunks, so the result is bit-identical to it. Its morsels run on
+  // the (now idle) fan-out pool; grid work is not charged to the
+  // caller's stats or slice gate.
+  ExecContext local = ctx;
+  local.pool = FanoutPool();
+  local.stats = nullptr;
+  local.gate = nullptr;
+  return Aggregate(local, all, dims, agg, attr);
+}
+
+Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
+                                                     const ExprPtr& pred) {
+  // Ship the execution environment so every node can evaluate the
+  // predicate (in a real grid the registry is replicated at deploy).
+  for (auto& svc : services_) {
+    svc->SetExecEnv(ctx.functions, ctx.enable_chunk_pruning);
+  }
+  ASSIGN_OR_RETURN(MemArray out,
+                   FetchUnion("grid.parallel_subsample", pred));
+  out.mutable_schema()->set_name(schema_.name() + "_subsample");
   return out;
 }
 
@@ -1119,28 +1005,11 @@ Result<MemArray> DistributedArray::ParallelSjoin(
   StitchOpTrace(child, tctx);
   MaybeRecover();
 
-  Result<MemArray>& first = partials[0];
-  RETURN_NOT_OK(first.status());
-  MemArray out(first.value().schema());
-  std::vector<Value> cell;
-  for (auto& partial : partials) {
+  RETURN_NOT_OK(partials[0].status());
+  MemArray out(partials[0].value().schema());
+  for (const Result<MemArray>& partial : partials) {
     RETURN_NOT_OK(partial.status());
-    Status st;
-    bool failed = false;
-    partial.value().ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
+    UnionInto(partial.value(), &out);
   }
   return out;
 }

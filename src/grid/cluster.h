@@ -51,8 +51,7 @@ struct GridNetOptions {
 
   // Nonzero seeds a FaultInjectingTransport wrapper (drops, dups,
   // delays, reorders at `fault_profile` rates); 0 = transparent
-  // network. The session knob `set net_faults = <seed>` feeds the
-  // process-wide default picked up by the two-argument constructor.
+  // network.
   uint64_t fault_seed = 0;
   net::FaultProfile fault_profile = net::FaultProfile::Lossy();
 
@@ -69,9 +68,7 @@ struct GridNetOptions {
   // fail over to a surviving replica when the primary is unreachable,
   // and Recover() re-replicates a dead node's chunks onto survivors.
   // 1 (the default) is the exact pre-replication grid: no extra writes,
-  // no failover, no failure detection. The session knob
-  // `set replication = k` feeds the process-wide default picked up by
-  // the two-argument constructor. Clamped to [1, num_nodes()].
+  // no failover, no failure detection. Clamped to [1, num_nodes()].
   int replication = 1;
 
   // Consecutive failed data-path RPCs to one node before the
@@ -115,10 +112,8 @@ struct ClusterMetrics {
 class DistributedArray {
  public:
   DistributedArray(ArraySchema schema,
-                   std::shared_ptr<const Partitioner> partitioner);
-  DistributedArray(ArraySchema schema,
                    std::shared_ptr<const Partitioner> partitioner,
-                   GridNetOptions net);
+                   GridNetOptions net = {});
   ~DistributedArray();
   DistributedArray(const DistributedArray&) = delete;
   DistributedArray& operator=(const DistributedArray&) = delete;
@@ -179,10 +174,12 @@ class DistributedArray {
 
   // ---- parallel execution (one RPC-fetching worker per node) ----
 
-  // Grand or grouped aggregate executed as per-node partials merged at
-  // the coordinator (AggregateState::Merge). Shard contents travel to
-  // the workers as ScanShard responses (data shipping: accumulator
-  // state has no wire form).
+  // Grand or grouped aggregate: every slot's shard travels to the
+  // coordinator as a ScanShard response (data shipping), the shards are
+  // unioned, and exec's Aggregate runs over the union on the fan-out
+  // pool — the one partial+merge algorithm (DESIGN.md §8), so the result
+  // is bit-identical to single-node Aggregate at every transport,
+  // replication factor and fault seed.
   Result<MemArray> ParallelAggregate(const ExecContext& ctx,
                                      const std::vector<std::string>& dims,
                                      const std::string& agg,
@@ -240,16 +237,6 @@ class DistributedArray {
   // `explain analyze` surfaces network time. Null detaches.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
-  // Process-wide default fault seed for newly constructed arrays (the
-  // two-argument constructor). Backs the session `set net_faults` knob.
-  static void SetDefaultFaultSeed(uint64_t seed);
-  static uint64_t DefaultFaultSeed();
-
-  // Process-wide default replication factor for newly constructed
-  // arrays. Backs the session `set replication = k` knob.
-  static void SetDefaultReplication(int k);
-  static int DefaultReplication();
-
  private:
   friend class GridNodeService;
 
@@ -295,6 +282,10 @@ class DistributedArray {
                              const TraceContext& ctx,
                              std::atomic<int64_t>* failovers) const
       LOCKS_EXCLUDED(meta_mu_);
+  // One parallel read of the whole array: FetchSlot for every slot on
+  // the fan-out pool, timed as the `label` trace span, then the slots'
+  // chunks unioned into one coordinator-side MemArray of schema_.
+  Result<MemArray> FetchUnion(const char* label, const ExprPtr& pred);
 
   // Failure-detection bookkeeping for one data-path RPC outcome.
   // Declares the node dead on the dead_after_failures'th consecutive

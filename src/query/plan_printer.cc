@@ -65,7 +65,12 @@ std::string PlanLabel(const OpNode& node) {
       detail += " = " + node.exprs[0]->ToString();
     }
   } else if (op == "aggregate") {
-    detail = "{" + JoinNames(node.names) + "} " + AggSummary(node);
+    // Appends, not a `"{" + ...` chain: GCC 12 -O3 raises a false
+    // -Werror=restrict on the chained form.
+    detail = "{";
+    detail += JoinNames(node.names);
+    detail += "} ";
+    detail += AggSummary(node);
   } else if (op == "regrid" || op == "window") {
     detail = JoinNumbers(node.numbers) + "; " + AggSummary(node);
   } else if (op == "project" || op == "concat" || op == "adddimension" ||

@@ -1,7 +1,7 @@
 // Flight recorder (DESIGN.md §12): a fixed-size lock-free ring of
 // structured events. The tests pin the observable contract — ordered
-// dumps, newest-events-win overwrite, the kill switch, the session knob,
-// and the abort path that prints the timeline when the lock-order
+// dumps, newest-events-win overwrite, the kill switch (which AQL cannot
+// reach), and the abort path that prints the timeline when the lock-order
 // detector fires mid-fault-injection.
 
 #include "common/flight_recorder.h"
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/mutex.h"
+#include "grid/cluster.h"
 #include "net/fault_injection.h"
 #include "net/inprocess_transport.h"
 #include "query/session.h"
@@ -111,19 +112,31 @@ TEST(FlightRecorderTest, KindVocabularyNamesAndBounds) {
                "Rereplicate");
 }
 
-TEST(FlightRecorderTest, SessionKnobTogglesTheRecorder) {
+// Process-wide switches are not AQL options: any query-server client
+// could flip them for every tenant. `set flight_recorder`, `set
+// net_faults` and `set replication` are unknown options, and rejecting
+// them touches neither the recorder nor the defaults a new grid starts
+// from.
+TEST(FlightRecorderTest, RemovedSessionKnobsAreRejected) {
   Session session;
   ASSERT_TRUE(FlightRecorder::enabled());
-
-  auto off = session.Execute("set flight_recorder = 0");
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_EQ(off.value().message, "flight recorder disabled");
-  EXPECT_FALSE(FlightRecorder::enabled());
-
-  auto on = session.Execute("set flight_recorder = 1");
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  EXPECT_EQ(on.value().message, "flight recorder enabled");
+  for (const char* stmt : {"set flight_recorder = 0", "set net_faults = 7",
+                           "set replication = 2"}) {
+    SCOPED_TRACE(stmt);
+    auto r = session.Execute(stmt);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalid()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("unknown session option"),
+              std::string::npos);
+  }
   EXPECT_TRUE(FlightRecorder::enabled());
+
+  ArraySchema schema("v", {{"x", 1, 4, 2}},
+                     {{"a", DataType::kDouble, true, false}});
+  DistributedArray grid(schema, std::make_shared<HashPartitioner>(2));
+  EXPECT_EQ(grid.net_options().fault_seed, 0u);
+  EXPECT_EQ(grid.fault_injector(), nullptr);
+  EXPECT_EQ(grid.replication(), 1);
 }
 
 TEST(FlightRecorderTest, FaultInjectionEventsAppearInDumpInOrder) {

@@ -315,6 +315,96 @@ TEST(NetGridDifferentialTest, ReplicationSweepIsBitTransparent) {
   }
 }
 
+// Runs every built-in aggregate, grand and grouped, through the grid and
+// through single-node exec, and demands the same bits: the grid's
+// ParallelAggregate is exec's Aggregate over the unioned shards.
+void ExpectGridAggregatesAreSingleNode(DistributedArray* d,
+                                       const MemArray& src,
+                                       const std::string& label) {
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  const std::vector<std::vector<std::string>> groupings = {
+      {}, {"ra"}, {"dec"}};
+  for (const char* agg :
+       {"sum", "count", "min", "max", "avg", "stddev", "usum", "uavg"}) {
+    for (const std::vector<std::string>& g : groupings) {
+      const std::string tag =
+          label + "/" + agg + (g.empty() ? "/grand" : "/by " + g[0]);
+      Result<MemArray> got = d->ParallelAggregate(ctx, g, agg, "flux");
+      ASSERT_TRUE(got.ok()) << tag << ": " << got.status().ToString();
+      Result<MemArray> want = Aggregate(ctx, src, g, agg, "flux");
+      ASSERT_TRUE(want.ok()) << tag << ": " << want.status().ToString();
+      ExpectBitIdentical(got.value(), want.value(), tag);
+    }
+  }
+}
+
+TEST(NetGridDifferentialTest, ParallelAggregateIsSingleNodeAggregate) {
+  MemArray src = UniformSky(16, 4, 53);
+  for (auto kind : {GridNetOptions::TransportKind::kInline,
+                    GridNetOptions::TransportKind::kThreaded,
+                    GridNetOptions::TransportKind::kTcp}) {
+    const std::string transport =
+        kind == GridNetOptions::TransportKind::kInline     ? "inline"
+        : kind == GridNetOptions::TransportKind::kThreaded ? "threaded"
+                                                           : "tcp";
+    for (int k : {1, 2, 3}) {
+      GridNetOptions net;
+      net.transport = kind;
+      net.replication = k;
+      DistributedArray d(Sky(), QuadPartitioner(), net);
+      ASSERT_TRUE(d.Load(src, 0).ok());
+      ExpectGridAggregatesAreSingleNode(
+          &d, src, transport + " k=" + std::to_string(k));
+    }
+  }
+}
+
+TEST(NetGridDifferentialTest, ParallelAggregateIsSingleNodeUnderDeath) {
+  // A dead primary's slot is served by failover reads; the union of the
+  // survivors' chunks is still the whole array, so still the same bits.
+  MemArray src = UniformSky(16, 4, 59);
+  {
+    net::VirtualTime vt;
+    GridNetOptions net;
+    net.fault_seed = 5;                       // enables the fault wrapper...
+    net.fault_profile = net::FaultProfile{};  // ...with no random faults
+    net.call.max_attempts = 20;
+    net.call.deadline_ns = 10'000'000'000'000ull;  // shared virtual clock
+    net.clock = vt.clock();
+    net.sleep = vt.sleep();
+    for (int k : {2, 3}) {
+      net.replication = k;
+      DistributedArray d(Sky(), QuadPartitioner(), net);
+      ASSERT_TRUE(d.Load(src, 0).ok());
+      d.fault_injector()->PartitionNode(k);
+      ExpectGridAggregatesAreSingleNode(
+          &d, src, "inline dead primary k=" + std::to_string(k));
+      EXPECT_EQ(d.dead_nodes(), (std::set<int>{k}));
+    }
+  }
+  for (auto kind : {GridNetOptions::TransportKind::kThreaded,
+                    GridNetOptions::TransportKind::kTcp}) {
+    GridNetOptions net;
+    net.transport = kind;
+    net.fault_seed = 3;
+    net.fault_profile = net::FaultProfile{};
+    net.replication = 2;
+    net.call.deadline_ns = 200'000'000;        // 200ms
+    net.call.attempt_timeout_ns = 50'000'000;  // 50ms
+    net.call.max_attempts = 2;
+    DistributedArray d(Sky(), QuadPartitioner(), net);
+    ASSERT_TRUE(d.Load(src, 0).ok());
+    d.fault_injector()->PartitionNode(1);
+    ExpectGridAggregatesAreSingleNode(
+        &d, src,
+        kind == GridNetOptions::TransportKind::kThreaded
+            ? "threaded dead primary"
+            : "tcp dead primary");
+  }
+}
+
 TEST(NetGridDifferentialTest, PrimaryDeathFailoverIsBitTransparent) {
   // The tentpole guarantee: kill any node under any replicated layout
   // and the workload's bits do not move. The three ops of the workload

@@ -275,12 +275,58 @@ TEST_F(ParallelDifferentialTest, UncertainAggregates) {
   }
 }
 
-// Serial-only operators still accept a pooled context unchanged.
+// Regrid runs the grouped-aggregation core with a block key, so it is
+// morsel-parallel and width-independent like Aggregate. Factors that do
+// not divide the chunk interval (16) make blocks span chunks: their
+// per-chunk partials meet in the merge.
 TEST_F(ParallelDifferentialTest, RegridIsWidthIndependent) {
   MemArray sky = bench::MakeSkyImage(48, 16, 4, 31);
   RunDifferential("Regrid/sky", [&](const ExecContext& ctx) {
     return Regrid(ctx, sky, {4, 4}, "avg", "flux");
   });
+  for (auto& [name, a] : Inputs2D()) {
+    for (const char* agg : {"sum", "avg", "stddev", "count"}) {
+      RunDifferential("Regrid_3x5_" + std::string(agg) + "/" + name,
+                      [&, agg](const ExecContext& ctx) {
+                        return Regrid(ctx, a, {3, 5}, agg, "*");
+                      });
+    }
+  }
+}
+
+// Aggregate is a one-call AggregateMulti: same cells, same bits; only the
+// output attribute's name differs ("<agg>" vs "<agg>_<attr>").
+TEST_F(ParallelDifferentialTest, AggregateIsOneCallAggregateMulti) {
+  for (auto& [name, a] : Inputs2D()) {
+    const std::string attr = a.schema().attr(0).name;
+    for (const char* agg : {"sum", "avg", "stddev", "count"}) {
+      for (const std::vector<std::string>& g :
+           std::vector<std::vector<std::string>>{{}, {"I"}}) {
+        const std::string tag = std::string(agg) + "/" + name +
+                                (g.empty() ? "/grand" : "/by I");
+        for (int width : {1, 2, 8}) {
+          ThreadPool pool(width);
+          MemArray single =
+              Aggregate(CtxWith(&pool), a, g, agg, attr).ValueOrDie();
+          MemArray multi =
+              AggregateMulti(CtxWith(&pool), a, g, {{agg, attr}})
+                  .ValueOrDie();
+          ASSERT_EQ(single.schema().nattrs(), 1u);
+          EXPECT_EQ(single.schema().attr(0).name, agg) << tag;
+          EXPECT_EQ(multi.schema().attr(0).name,
+                    std::string(agg) + "_" + attr)
+              << tag;
+          // Everything else must match exactly: compare under one name.
+          const ArraySchema& ms = multi.schema();
+          MemArray renamed(
+              ArraySchema(ms.name(), ms.dims(), single.schema().attrs()));
+          *renamed.mutable_chunks() = multi.chunks();
+          ExpectArraysIdentical(single, renamed,
+                                tag + " @width " + std::to_string(width));
+        }
+      }
+    }
+  }
 }
 
 // ------------------- deterministic failure (satellite) ------------------

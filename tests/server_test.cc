@@ -354,6 +354,20 @@ TEST_F(ServerTest, SetParallelismIsClampedByServerCap) {
   EXPECT_EQ(ok.message.find("clamped"), std::string::npos) << ok.message;
 }
 
+// Process-wide grid knobs are not AQL options: a remote client cannot
+// switch fault injection on for every grid in the server process.
+TEST_F(ServerTest, RemoteSetNetFaultsIsRejected) {
+  StartServer();
+  auto client = Connect(1);
+
+  auto out = client->Execute("set net_faults = 7").value();
+  EXPECT_TRUE(out.status.IsInvalid()) << out.status.ToString();
+
+  // The session survives the rejected statement.
+  auto ok = client->Execute("set parallelism = 1").value();
+  EXPECT_TRUE(ok.status.ok()) << ok.status.ToString();
+}
+
 // The fairness satellite: with FIFO slicing, a cheap query behind a
 // heavy one waits at most one slice per queued competitor instead of
 // the heavy query's full runtime.
