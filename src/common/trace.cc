@@ -18,7 +18,7 @@ uint64_t NextSpanId() {
   return next.fetch_add(1, std::memory_order_relaxed);  // relaxed-ok: unique-id counter, no ordering needed
 }
 
-void SpanStore::Add(SpanRecord span) {
+void SpanStore::Add(TraceNode span) {
   MutexLock lock(mu_);
   if (spans_.size() >= max_spans_) {
     spans_.pop_front();
@@ -27,9 +27,9 @@ void SpanStore::Add(SpanRecord span) {
   spans_.push_back(std::move(span));
 }
 
-std::vector<SpanRecord> SpanStore::Take(uint64_t trace_id) {
+std::vector<TraceNode> SpanStore::Take(uint64_t trace_id) {
   MutexLock lock(mu_);
-  std::vector<SpanRecord> out;
+  std::vector<TraceNode> out;
   for (auto it = spans_.begin(); it != spans_.end();) {
     if (it->trace_id == trace_id) {
       out.push_back(std::move(*it));

@@ -24,16 +24,25 @@ using TraceClock = std::function<uint64_t()>;
 // The default clock: std::chrono::steady_clock in nanoseconds.
 uint64_t SteadyNowNs();
 
-// One node of the annotated operator tree. `label` matches the plain
-// `explain` plan line for the same operator so the two outputs are
-// shape-comparable; `notes` carries per-operator measurements (cells
-// visited, chunk-cache hits, ...) in insertion order.
+// One span: a node of the annotated operator tree and the unit the RPC
+// layer records. `label` matches the plain `explain` plan line for the
+// same operator so the two outputs are shape-comparable; `notes` carries
+// per-operator measurements (cells visited, chunk-cache hits, attempts,
+// ...) in insertion order. The identity fields name the span within a
+// distributed trace (DESIGN.md §12); a span recorded by the RPC layer
+// has no children until the coordinator's stitch moves it into a tree.
 struct TraceNode {
   std::string label;
   uint64_t wall_ns = 0;
   int64_t out_cells = -1;  // -1 = no array output (e.g. boolean Exists)
   std::vector<std::pair<std::string, double>> notes;
   std::vector<std::unique_ptr<TraceNode>> children;
+
+  uint64_t trace_id = 0;
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;
+  int32_t node = -1;  // transport node id that recorded the span
+  uint64_t start_ns = 0;
 
   TraceNode* AddChild() {
     children.push_back(std::make_unique<TraceNode>());
@@ -66,12 +75,18 @@ struct QueryTrace {
 };
 
 // RAII span: stamps `node->wall_ns` with the elapsed clock time on
-// destruction. The clock reference must outlive the span.
+// destruction. A null node is a no-op that never reads the clock, so an
+// untraced run shares the traced code path. The clock reference must
+// outlive the span.
 class TraceSpan {
  public:
   TraceSpan(const TraceClock& clock, TraceNode* node)
-      : clock_(&clock), node_(node), start_((*clock_)()) {}
-  ~TraceSpan() { node_->wall_ns = (*clock_)() - start_; }
+      : clock_(&clock),
+        node_(node),
+        start_(node != nullptr ? (*clock_)() : 0) {}
+  ~TraceSpan() {
+    if (node_ != nullptr) node_->wall_ns = (*clock_)() - start_;
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
@@ -105,44 +120,21 @@ struct TraceContext {
 uint64_t NextTraceId();
 uint64_t NextSpanId();
 
-// One finished span, as recorded by the RPC layer. `notes` mirrors
-// TraceNode::notes so spans graft directly onto an explain-analyze tree.
-struct SpanRecord {
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;
-  int32_t node = -1;  // transport node id that recorded the span
-  std::string label;
-  uint64_t start_ns = 0;
-  uint64_t wall_ns = 0;
-  std::vector<std::pair<std::string, double>> notes;
-
-  void AddNote(std::string key, double value) {
-    notes.push_back({std::move(key), value});
-  }
-  const double* FindNote(const std::string& key) const {
-    for (const auto& [k, v] : notes) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-// Bounded, thread-safe store of finished spans. Each RpcServer owns one
-// (server-side handler spans, fetched over the wire via TraceGet) and the
-// coordinator owns one for client-side call spans. Oldest spans are dropped
-// once `max_spans` is reached; `dropped()` exposes how many, so tests can
-// assert nothing was lost.
+// Bounded, thread-safe store of finished, childless spans. Each
+// RpcServer owns one (server-side handler spans, fetched over the wire
+// via TraceGet) and the coordinator owns one for client-side call spans.
+// Oldest spans are dropped once `max_spans` is reached; `dropped()`
+// exposes how many, so tests can assert nothing was lost.
 class SpanStore {
  public:
   explicit SpanStore(size_t max_spans = 4096) : max_spans_(max_spans) {}
   SpanStore(const SpanStore&) = delete;
   SpanStore& operator=(const SpanStore&) = delete;
 
-  void Add(SpanRecord span);
+  void Add(TraceNode span);
 
   // Removes and returns every span of `trace_id`, in insertion order.
-  std::vector<SpanRecord> Take(uint64_t trace_id);
+  std::vector<TraceNode> Take(uint64_t trace_id);
 
   size_t size() const;
   int64_t dropped() const;
@@ -150,7 +142,7 @@ class SpanStore {
  private:
   mutable Mutex mu_{"SpanStore::mu_"};
   const size_t max_spans_;
-  std::deque<SpanRecord> spans_ GUARDED_BY(mu_);
+  std::deque<TraceNode> spans_ GUARDED_BY(mu_);
   int64_t dropped_ GUARDED_BY(mu_) = 0;
 };
 

@@ -74,6 +74,53 @@ void UnionInto(const MemArray& part, MemArray* into) {
   }
 }
 
+// Re-shards `shards` onto `placement` at load epoch `time`: the one
+// rebuild behind Repartition and ParallelSjoin's staging copy. Every
+// held copy of a chunk is upserted cell by cell onto each node of the
+// chunk's new replica set. Copies at k > 1 are identical, and a boundary
+// replica holds a subset of its owner's chunk, so the union loses
+// nothing. `*moved` counts the bytes landing on a node that did not
+// already hold the chunk. `placed`, when set, receives each chunk's new
+// replica set.
+Result<std::vector<MemArray>> Reshard(
+    const std::vector<MemArray>& shards, const ArraySchema& schema,
+    const ReplicaPlacement& placement, int64_t time, int64_t* moved,
+    std::map<Coordinates, std::vector<int>>* placed) {
+  // Every copy of each chunk, by holding node.
+  std::map<Coordinates, std::map<int, const Chunk*>> copies;
+  for (size_t node = 0; node < shards.size(); ++node) {
+    for (const auto& [origin, chunk] : shards[node].chunks()) {
+      copies[origin][static_cast<int>(node)] = chunk.get();
+    }
+  }
+  std::vector<MemArray> next;
+  next.reserve(static_cast<size_t>(placement.num_nodes()));
+  for (int i = 0; i < placement.num_nodes(); ++i) next.emplace_back(schema);
+  std::vector<Value> cell;
+  for (const auto& [origin, held] : copies) {
+    const std::vector<int> dests = placement.ReplicasFor(origin, time);
+    for (int d : dests) {
+      if (held.count(d) == 0) {
+        *moved += static_cast<int64_t>(held.begin()->second->ByteSize());
+      }
+    }
+    for (const auto& [node, chunk] : held) {
+      for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
+        cell.clear();
+        for (size_t a = 0; a < chunk->nattrs(); ++a) {
+          cell.push_back(chunk->block(a).Get(it.rank()));
+        }
+        for (int d : dests) {
+          RETURN_NOT_OK(
+              next[static_cast<size_t>(d)].SetCell(it.coords(), cell));
+        }
+      }
+    }
+    if (placed != nullptr) (*placed)[origin] = dests;
+  }
+  return next;
+}
+
 }  // namespace
 
 MetricsSnapshot ClusterMetrics::Labeled() const {
@@ -175,26 +222,56 @@ ThreadPool* DistributedArray::FanoutPool() {
   return pool_.get();
 }
 
-TraceNode* DistributedArray::TraceChild(const char* label) {
-  if (trace_node_ == nullptr) return nullptr;
-  TraceNode* child = trace_node_->AddChild();
-  child->label = label;
-  return child;
-}
-
-TraceContext DistributedArray::BeginOpTrace() const {
-  if (trace_node_ == nullptr) return {};
-  TraceContext ctx;
-  ctx.trace_id = NextTraceId();
-  ctx.span_id = NextSpanId();
-  ctx.parent_span_id = 0;
-  return ctx;
+Status DistributedArray::TracedOp(
+    const char* label,
+    const std::function<Status(const TraceContext&, OpTally*)>& body) {
+  TraceNode* child = nullptr;
+  TraceContext ctx;  // inactive (all-zero) unless a trace node is attached
+  if (trace_node_ != nullptr) {
+    child = trace_node_->AddChild();
+    child->label = label;
+    ctx.trace_id = NextTraceId();
+    ctx.span_id = NextSpanId();
+  }
+  OpTally tally;
+  Status st;
+  {
+    TraceSpan span(clock_, child);
+    st = body(ctx, &tally);
+  }
+  if (child != nullptr) {
+    child->AddNote("net.rpcs", static_cast<double>(tally.rpcs));
+    if (tally.failovers.load() > 0) {
+      child->AddNote("failover", static_cast<double>(tally.failovers.load()));
+    }
+    if (!st.ok()) child->AddNote("err", 1);
+  }
+  StitchOpTrace(child, ctx);
+  return st;
 }
 
 void DistributedArray::StitchOpTrace(TraceNode* child,
                                      const TraceContext& ctx) const {
   if (child == nullptr || !ctx.active()) return;
-  std::vector<SpanRecord> client = client_spans_.Take(ctx.trace_id);
+  // Every node gets a sub-tree even when it served no RPC of this trace
+  // (or was unreachable for the stitch), so the tree shape stays
+  // comparable across runs and transports.
+  std::vector<TraceNode*> node_trees;
+  for (int node = 0; node < num_nodes(); ++node) {
+    node_trees.push_back(child->AddChild());
+    node_trees.back()->label = "node " + std::to_string(node);
+  }
+  // Each client rpc.* span moves under its destination's sub-tree; its
+  // dst note is dropped, since the parent label already says it.
+  std::map<uint64_t, TraceNode*> calls;
+  for (TraceNode& cs : client_spans_.Take(ctx.trace_id)) {
+    const double* dst = cs.FindNote("dst");
+    if (dst == nullptr || *dst < 0 || *dst >= num_nodes()) continue;
+    TraceNode* tree = node_trees[static_cast<size_t>(*dst)];
+    std::erase_if(cs.notes, [](const auto& n) { return n.first == "dst"; });
+    tree->children.push_back(std::make_unique<TraceNode>(std::move(cs)));
+    calls[tree->children.back()->span_id] = tree->children.back().get();
+  }
   // The stitch's own TraceGet RPCs are deliberately untraced: they must
   // not add spans to the trace they are collecting. Declared-dead nodes
   // are skipped outright rather than burning a deadline each.
@@ -202,42 +279,23 @@ void DistributedArray::StitchOpTrace(TraceNode* child,
   net::CallOptions co = net_opts_.call;
   co.trace = {};
   for (int node = 0; node < num_nodes(); ++node) {
-    std::vector<SpanRecord> server;
-    if (dead.count(node) == 0) {
-      net::TraceGetRequest req;
-      req.trace_id = ctx.trace_id;
-      Result<std::vector<uint8_t>> r = client_->Call(
-          node, net::MessageType::kTraceGet, req.EncodePayload(), co);
-      if (r.ok()) {
-        Result<net::TraceGetResponse> resp =
-            net::TraceGetResponse::Decode(r.value());
-        if (resp.ok()) server = std::move(resp.value().spans);
-      }
-    }
-    // Every node gets a sub-tree even when it served no RPC of this
-    // trace (or was unreachable for the stitch), so the tree shape stays
-    // comparable across runs and transports.
-    TraceNode* node_child = child->AddChild();
-    node_child->label = "node " + std::to_string(node);
-    for (const SpanRecord& cs : client) {
-      const double* dst = cs.FindNote("dst");
-      if (dst == nullptr || static_cast<int>(*dst) != node) continue;
-      TraceNode* rpc = node_child->AddChild();
-      rpc->label = cs.label;
-      rpc->wall_ns = cs.wall_ns;
-      for (const auto& [k, v] : cs.notes) {
-        if (k == "dst") continue;  // already encoded in the parent label
-        rpc->AddNote(k, v);
-      }
-      // The matching server-side handler span(s): more than one when the
-      // network duplicated or the client retried a delivered request.
-      for (const SpanRecord& ss : server) {
-        if (ss.parent_span_id != cs.span_id) continue;
-        TraceNode* srv = rpc->AddChild();
-        srv->label = ss.label;
-        srv->wall_ns = ss.wall_ns;
-        for (const auto& [k, v] : ss.notes) srv->AddNote(k, v);
-      }
+    if (dead.count(node) != 0) continue;
+    net::TraceGetRequest req;
+    req.trace_id = ctx.trace_id;
+    Result<std::vector<uint8_t>> r = client_->Call(
+        node, net::MessageType::kTraceGet, req.EncodePayload(), co);
+    if (!r.ok()) continue;
+    Result<net::TraceGetResponse> resp =
+        net::TraceGetResponse::Decode(r.value());
+    if (!resp.ok()) continue;
+    // Server.* handler spans move under the rpc.* span they parent onto:
+    // more than one when the network duplicated or the client retried a
+    // delivered request.
+    for (TraceNode& ss : resp.value().spans) {
+      auto call = calls.find(ss.parent_span_id);
+      if (call == calls.end()) continue;
+      call->second->children.push_back(
+          std::make_unique<TraceNode>(std::move(ss)));
     }
   }
 }
@@ -654,24 +712,17 @@ Status DistributedArray::Load(const MemArray& source, int64_t time) {
   if (!(source.schema() == schema_)) {
     return Status::Invalid("schema mismatch loading distributed array");
   }
-  TraceNode* child = TraceChild("grid.load");
-  const TraceContext ctx = BeginOpTrace();
-  int64_t rpcs = 0;
-  {
-    TraceNode scratch;  // TraceSpan needs a sink even when tracing is off
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
+  return TracedOp("grid.load", [&](const TraceContext& ctx, OpTally* tally) {
     for (const auto& [origin, chunk] : source.chunks()) {
       if (chunk->present_count() == 0) continue;  // nothing to place
       // Source and destination share the schema, so the source chunk
       // origin IS the placement key — every cell of it lands together
       // (on every replica, when replication > 1).
+      tally->rpcs += replication();
       RETURN_NOT_OK(PlaceChunk(origin, *chunk, time, ctx));
-      rpcs += replication();
     }
-  }
-  if (child != nullptr) child->AddNote("net.rpcs", static_cast<double>(rpcs));
-  StitchOpTrace(child, ctx);
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status DistributedArray::SetCell(const Coordinates& c,
@@ -790,52 +841,20 @@ Result<int64_t> DistributedArray::Repartition(
   // A repartition replaces every shard wholesale, so it is executed as
   // a coordinator-local rebuild (the byte movement is still accounted);
   // the per-chunk write path would route every chunk through the OLD
-  // node set's transport while the new one is being built.
-  std::vector<MemArray> next;
-  next.reserve(static_cast<size_t>(to->num_nodes()));
-  for (int i = 0; i < to->num_nodes(); ++i) next.emplace_back(schema_);
-
-  // Replication-aware: each (deduplicated) chunk lands on every node of
-  // its new replica set; the directory is rebuilt alongside the shards.
+  // node set's transport while the new one is being built. The chunk
+  // directory is rebuilt alongside the shards.
   ReplicaPlacement next_place(to, net_opts_.replication);
-  std::map<Coordinates, ChunkMeta> next_dir;
-  std::set<Coordinates> seen;  // k > 1 stores each chunk k times
-
   int64_t bytes_moved = 0;
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  for (int node = 0; node < num_nodes(); ++node) {
-    const MemArray& shard = shards_[static_cast<size_t>(node)];
-    for (const auto& [origin, chunk] : shard.chunks()) {
-      // Replicas are byte-identical; rebuild each chunk once, from the
-      // first shard that holds a copy.
-      if (!seen.insert(origin).second) continue;
-      int dest = to->NodeFor(origin, time);
-      if (dest != node) bytes_moved += static_cast<int64_t>(chunk->ByteSize());
-      std::vector<int> dests = next_place.ReplicasFor(origin, time);
-      if (next_place.replication() > 1) {
-        next_dir[origin] = ChunkMeta{time, dests};
-      }
-      for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-        cell.clear();
-        for (size_t a = 0; a < chunk->nattrs(); ++a) {
-          cell.push_back(chunk->block(a).Get(it.rank()));
-        }
-        for (int d : dests) {
-          st = next[static_cast<size_t>(d)].SetCell(it.coords(), cell);
-          if (!st.ok()) {
-            failed = true;
-            break;
-          }
-        }
-        if (failed) break;
-      }
-      if (failed) break;
+  std::map<Coordinates, std::vector<int>> placed;
+  ASSIGN_OR_RETURN(std::vector<MemArray> next,
+                   Reshard(shards_, schema_, next_place, time, &bytes_moved,
+                           &placed));
+  std::map<Coordinates, ChunkMeta> next_dir;
+  if (next_place.replication() > 1) {
+    for (auto& [origin, holders] : placed) {
+      next_dir[origin] = ChunkMeta{time, std::move(holders)};
     }
-    if (failed) break;
   }
-  if (failed) return st;
   // The node count may change: tear the network down before the swap
   // (its services hold this-pointers into the old topology) and rebuild
   // it after.
@@ -866,35 +885,30 @@ Result<int64_t> DistributedArray::Repartition(
   return bytes_moved;
 }
 
-Result<MemArray> DistributedArray::FetchUnion(const char* label,
-                                              const ExprPtr& pred) {
+Result<MemArray> DistributedArray::FanOut(const char* label,
+                                          const ExprPtr& pred,
+                                          const PerSlot& per_slot) {
   GridMetrics::Get().parallel_ops->Inc();
-  TraceNode* child = TraceChild(label);
-  const TraceContext tctx = BeginOpTrace();
-  std::atomic<int64_t> failovers{0};
   std::vector<Result<MemArray>> partials(
       static_cast<size_t>(num_nodes()),
       Result<MemArray>(Status::Internal("not run")));
-  {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(
-        FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
-          partials[static_cast<size_t>(node)] =
-              FetchSlot(static_cast<int>(node), pred, tctx, &failovers);
-          return partials[static_cast<size_t>(node)].status();
-        }));
-  }
-  if (child != nullptr) {
-    child->AddNote("net.rpcs", static_cast<double>(num_nodes()));
-    if (failovers.load() > 0) {
-      child->AddNote("failover", static_cast<double>(failovers.load()));
-    }
-  }
-  StitchOpTrace(child, tctx);
+  RETURN_NOT_OK(
+      TracedOp(label, [&](const TraceContext& ctx, OpTally* tally) {
+        tally->rpcs = num_nodes();
+        return FanoutPool()->ParallelFor(
+            num_nodes(), [&](int64_t node) -> Status {
+              const int slot = static_cast<int>(node);
+              Result<MemArray>& part = partials[static_cast<size_t>(node)];
+              part = FetchSlot(slot, pred, ctx, &tally->failovers);
+              if (part.ok() && per_slot) {
+                part = per_slot(slot, std::move(part).value());
+              }
+              return part.status();
+            });
+      }));
   MaybeRecover();
 
-  MemArray out(schema_);
+  MemArray out(partials[0].value().schema());
   for (const Result<MemArray>& partial : partials) {
     RETURN_NOT_OK(partial.status());
     UnionInto(partial.value(), &out);
@@ -906,7 +920,7 @@ Result<MemArray> DistributedArray::ParallelAggregate(
     const ExecContext& ctx, const std::vector<std::string>& dims,
     const std::string& agg, const std::string& attr) {
   ASSIGN_OR_RETURN(MemArray all,
-                   FetchUnion("grid.parallel_aggregate", nullptr));
+                   FanOut("grid.parallel_aggregate", nullptr, nullptr));
   // exec's Aggregate over the union is the single-node computation on the
   // same chunks, so the result is bit-identical to it. Its morsels run on
   // the (now idle) fan-out pool; grid work is not charged to the
@@ -926,7 +940,7 @@ Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
     svc->SetExecEnv(ctx.functions, ctx.enable_chunk_pruning);
   }
   ASSIGN_OR_RETURN(MemArray out,
-                   FetchUnion("grid.parallel_subsample", pred));
+                   FanOut("grid.parallel_subsample", pred, nullptr));
   out.mutable_schema()->set_name(schema_.name() + "_subsample");
   return out;
 }
@@ -940,78 +954,32 @@ Result<MemArray> DistributedArray::ParallelSjoin(
   // Co-partitioned case: identical schemes over the same coordinate
   // system join node-locally with zero movement.
   const std::vector<MemArray>* rhs_shards = &other.shards_;
-  std::vector<MemArray> repartitioned;
+  std::vector<MemArray> resharded;
   if (!partitioner_->Equals(*other.partitioner_)) {
     // Move the (usually smaller) other array to this scheme, counting
     // bytes. A production system would pick the cheaper direction; the
     // benchmark wants the movement made visible, not hidden. The rebuild
     // is a plain shard vector, not a full DistributedArray — the staged
     // copy needs no network of its own.
-    repartitioned.reserve(static_cast<size_t>(num_nodes()));
-    for (int i = 0; i < num_nodes(); ++i) {
-      repartitioned.emplace_back(other.schema_);
-    }
-    for (int node = 0; node < other.num_nodes(); ++node) {
-      const MemArray& shard = other.shards_[static_cast<size_t>(node)];
-      for (const auto& [origin, chunk] : shard.chunks()) {
-        int dest = partitioner_->NodeFor(origin, 0);
-        if (dest != node && bytes_moved != nullptr) {
-          *bytes_moved += static_cast<int64_t>(chunk->ByteSize());
-        }
-        std::vector<Value> cell;
-        for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-          cell.clear();
-          for (size_t a = 0; a < chunk->nattrs(); ++a) {
-            cell.push_back(chunk->block(a).Get(it.rank()));
-          }
-          RETURN_NOT_OK(repartitioned[static_cast<size_t>(dest)].SetCell(
-              it.coords(), cell));
-        }
-      }
-    }
-    rhs_shards = &repartitioned;
+    int64_t moved = 0;
+    ASSIGN_OR_RETURN(resharded,
+                     Reshard(other.shards_, other.schema_,
+                             ReplicaPlacement(partitioner_, 1), 0, &moved,
+                             nullptr));
+    if (bytes_moved != nullptr) *bytes_moved = moved;
+    rhs_shards = &resharded;
   }
 
   // Node-local joins: each worker fetches its node's lhs shard over the
   // wire and joins it against the co-located rhs shard.
-  GridMetrics::Get().parallel_ops->Inc();
-  TraceNode* child = TraceChild("grid.parallel_sjoin");
-  const TraceContext tctx = BeginOpTrace();
-  std::atomic<int64_t> failovers{0};
-  std::vector<Result<MemArray>> partials(
-      static_cast<size_t>(num_nodes()),
-      Result<MemArray>(Status::Internal("not run")));
-  {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(
-        FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
-          ASSIGN_OR_RETURN(MemArray lhs,
-                           FetchSlot(static_cast<int>(node), nullptr, tctx,
-                                     &failovers));
-          ExecContext local = ctx;
-          local.stats = nullptr;
-          partials[static_cast<size_t>(node)] = Sjoin(
-              local, lhs, (*rhs_shards)[static_cast<size_t>(node)], dim_pairs);
-          return partials[static_cast<size_t>(node)].status();
-        }));
-  }
-  if (child != nullptr) {
-    child->AddNote("net.rpcs", static_cast<double>(num_nodes()));
-    if (failovers.load() > 0) {
-      child->AddNote("failover", static_cast<double>(failovers.load()));
-    }
-  }
-  StitchOpTrace(child, tctx);
-  MaybeRecover();
-
-  RETURN_NOT_OK(partials[0].status());
-  MemArray out(partials[0].value().schema());
-  for (const Result<MemArray>& partial : partials) {
-    RETURN_NOT_OK(partial.status());
-    UnionInto(partial.value(), &out);
-  }
-  return out;
+  return FanOut("grid.parallel_sjoin", nullptr,
+                [&](int slot, MemArray lhs) -> Result<MemArray> {
+                  ExecContext local = ctx;
+                  local.stats = nullptr;
+                  return Sjoin(local, lhs,
+                               (*rhs_shards)[static_cast<size_t>(slot)],
+                               dim_pairs);
+                });
 }
 
 Result<int64_t> DistributedArray::ReplicateBoundaries(

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -166,9 +167,10 @@ class DistributedArray {
   // LoadImbalance() when attribute widths vary across the array.
   double LoadImbalanceBytes() const;
 
-  // Re-partitions in place; returns the bytes that had to move between
-  // nodes (cells whose node assignment changed). The network stack is
-  // rebuilt afterwards: the node count may have changed.
+  // Re-partitions in place; returns the bytes moved: bytes landing on a
+  // node that did not already hold the chunk (at k = 1, the chunks whose
+  // node changed). The network stack is rebuilt afterwards: the node
+  // count may have changed.
   Result<int64_t> Repartition(std::shared_ptr<const Partitioner> to,
                               int64_t time);
 
@@ -194,7 +196,8 @@ class DistributedArray {
   // Structural join with another distributed array. When the two arrays
   // are co-partitioned the join runs node-locally and moves zero bytes;
   // otherwise `other` is first re-partitioned to this array's scheme and
-  // the movement is reported in *bytes_moved.
+  // the movement is reported in *bytes_moved, by Repartition's rule:
+  // bytes landing on a node that did not already hold the chunk.
   Result<MemArray> ParallelSjoin(
       const ExecContext& ctx, const DistributedArray& other,
       const std::vector<std::pair<std::string, std::string>>& dim_pairs,
@@ -282,10 +285,30 @@ class DistributedArray {
                              const TraceContext& ctx,
                              std::atomic<int64_t>* failovers) const
       LOCKS_EXCLUDED(meta_mu_);
-  // One parallel read of the whole array: FetchSlot for every slot on
-  // the fan-out pool, timed as the `label` trace span, then the slots'
-  // chunks unioned into one coordinator-side MemArray of schema_.
-  Result<MemArray> FetchUnion(const char* label, const ExprPtr& pred);
+  // What a traced grid operation's body reports for its explain-analyze
+  // notes: RPCs issued (net.rpcs) and failover reads (failover).
+  struct OpTally {
+    int64_t rpcs = 0;
+    std::atomic<int64_t> failovers{0};
+  };
+  // Runs one grid operation as the `label` span under trace_node_: opens
+  // the span, starts a distributed trace, times `body`, notes net.rpcs,
+  // failover and (when `body` fails) err, then stitches — on every exit,
+  // so a failed op's trace shows which RPC failed. With no trace node
+  // the context is inactive, no span is recorded, and `body` just runs.
+  Status TracedOp(
+      const char* label,
+      const std::function<Status(const TraceContext&, OpTally*)>& body);
+  // Per-slot step of a fan-out: turns slot `slot`'s fetched shard into
+  // that slot's partial result.
+  using PerSlot = std::function<Result<MemArray>(int slot, MemArray shard)>;
+  // One traced parallel read of the whole array: FetchSlot for every
+  // slot on the fan-out pool, each shard passed through `per_slot` (null
+  // = kept as fetched), all as TracedOp `label`. After a successful
+  // fan-out, owed recovery runs (MaybeRecover) and the partial results
+  // are unioned into one coordinator-side MemArray.
+  Result<MemArray> FanOut(const char* label, const ExprPtr& pred,
+                          const PerSlot& per_slot);
 
   // Failure-detection bookkeeping for one data-path RPC outcome.
   // Declares the node dead on the dead_after_failures'th consecutive
@@ -305,17 +328,12 @@ class DistributedArray {
   // last pass. Called at the end of each parallel operation.
   void MaybeRecover();
 
-  // Starts a distributed trace for one grid operation: fresh trace id
-  // plus a root span the per-RPC client spans parent onto. Inactive
-  // (all-zero) when no trace node is attached, which turns the whole
-  // span machinery off.
-  TraceContext BeginOpTrace() const;
   // Completes the distributed half of `explain analyze` for `ctx`:
   // drains the coordinator's client spans, fetches every node's server
-  // spans with an (untraced) TraceGet RPC, and grafts a "node <i>"
-  // sub-tree under `child` — rpc.* spans with their attempt/retry/wire
-  // notes, each with the matching server.* handler span as a child.
-  // No-op when `child` is null or `ctx` is inactive.
+  // spans with an (untraced) TraceGet RPC, and moves them into a
+  // "node <i>" sub-tree per node under `child` — rpc.* spans with their
+  // attempt/retry/wire notes, each with the matching server.* handler
+  // spans as children. No-op when `child` is null or `ctx` is inactive.
   void StitchOpTrace(TraceNode* child, const TraceContext& ctx) const;
 
   // Lazy fan-out pool (one worker per node); rebuilt when the node
@@ -334,9 +352,6 @@ class DistributedArray {
 
   // The coordinator's transport node id (one past the last grid node).
   int coordinator_id() const { return num_nodes(); }
-
-  // Opens a timed child span under trace_node_, or null when detached.
-  TraceNode* TraceChild(const char* label);
 
   // Topology: written by the coordinator at construction / Load /
   // Repartition, with no parallel execution in flight; during execution

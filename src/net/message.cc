@@ -254,7 +254,7 @@ Result<TraceGetRequest> TraceGetRequest::Decode(
 
 namespace {
 
-void PutSpan(const SpanRecord& s, ByteWriter* w) {
+void PutSpan(const TraceNode& s, ByteWriter* w) {
   w->PutU64(s.trace_id);
   w->PutU64(s.span_id);
   w->PutU64(s.parent_span_id);
@@ -269,8 +269,8 @@ void PutSpan(const SpanRecord& s, ByteWriter* w) {
   }
 }
 
-Result<SpanRecord> GetSpan(ByteReader* r) {
-  SpanRecord s;
+Result<TraceNode> GetSpan(ByteReader* r) {
+  TraceNode s;
   ASSIGN_OR_RETURN(s.trace_id, r->GetU64());
   ASSIGN_OR_RETURN(s.span_id, r->GetU64());
   ASSIGN_OR_RETURN(s.parent_span_id, r->GetU64());
@@ -332,7 +332,7 @@ Result<FlightEvent> GetFlightEvent(ByteReader* r) {
 std::vector<uint8_t> TraceGetResponse::EncodePayload() const {
   ByteWriter w;
   w.PutVarint(spans.size());
-  for (const SpanRecord& s : spans) PutSpan(s, &w);
+  for (const TraceNode& s : spans) PutSpan(s, &w);
   w.PutVarint(events.size());
   for (const FlightEvent& e : events) PutFlightEvent(e, &w);
   return w.Release();
@@ -349,7 +349,7 @@ Result<TraceGetResponse> TraceGetResponse::Decode(
   }
   resp.spans.reserve(static_cast<size_t>(n_spans));
   for (uint64_t i = 0; i < n_spans; ++i) {
-    ASSIGN_OR_RETURN(SpanRecord s, GetSpan(&r));
+    ASSIGN_OR_RETURN(TraceNode s, GetSpan(&r));
     resp.spans.push_back(std::move(s));
   }
   ASSIGN_OR_RETURN(uint64_t n_events, r.GetVarint());

@@ -138,7 +138,7 @@ struct TraceGetRequest {
 };
 
 struct TraceGetResponse {
-  std::vector<SpanRecord> spans;     // insertion order preserved
+  std::vector<TraceNode> spans;      // childless; insertion order preserved
   std::vector<FlightEvent> events;   // oldest first
 
   std::vector<uint8_t> EncodePayload() const;

@@ -93,7 +93,7 @@ void RpcServer::OnFrame(int src, Frame frame) {
     // One handler span per delivered request frame; a duplicated or
     // retried request therefore yields multiple spans, which is the
     // truth worth surfacing (the duplicate really did execute).
-    SpanRecord span;
+    TraceNode span;
     span.trace_id = frame.trace.trace_id;
     span.span_id = NextSpanId();
     span.parent_span_id = frame.trace.span_id;
@@ -211,7 +211,7 @@ Result<std::vector<uint8_t>> RpcClient::Call(int dst, MessageType type,
   uint64_t wire_wait_ns = 0;      // total time waiting on responses
   auto record_span = [&](bool call_ok) {
     if (!trace_wire || spans_ == nullptr) return;
-    SpanRecord span;
+    TraceNode span;
     span.trace_id = opts.trace.trace_id;
     span.span_id = call_span_id;
     span.parent_span_id = opts.trace.span_id;

@@ -103,7 +103,7 @@ class RpcServer {
   // Removes and returns the handler spans of one trace, in execution
   // order. Served over the wire by the grid's TraceGet handler, so the
   // coordinator's stitch crosses the RPC boundary like any other read.
-  std::vector<SpanRecord> TakeSpans(uint64_t trace_id) {
+  std::vector<TraceNode> TakeSpans(uint64_t trace_id) {
     return spans_.Take(trace_id);
   }
 

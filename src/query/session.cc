@@ -537,21 +537,8 @@ Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
   const int64_t net_rpcs0 = net.latency->count();
   const int64_t net_us0 = net.latency->sum();
   uint64_t t0 = clock_();
-  if (tree->op == "exists") {
-    // Top-level boolean probe: trace the input scan, note the verdict.
-    if (tree->inputs.size() != 1 || tree->inputs[0] == nullptr) {
-      return Status::Invalid("Exists takes one array");
-    }
-    TraceSpan span(clock_, &trace->root);
-    TraceNode* child = trace->root.AddChild();
-    child->label = PlanLabel(*tree->inputs[0]);
-    ASSIGN_OR_RETURN(MemArray in, EvalTraced(tree->inputs[0], child));
-    trace->root.AddNote("exists", in.Exists(tree->numbers) ? 1 : 0);
-  } else {
-    // EvalTraced stamps trace->root's span itself.
-    ASSIGN_OR_RETURN(MemArray out, EvalTraced(tree, &trace->root));
-    (void)out;  // explain analyze reports the trace, not the data
-  }
+  // explain analyze reports the trace, not the data.
+  RETURN_NOT_OK(ExecuteQueryNode(tree, &trace->root).status());
   trace->execute_ns = clock_() - t0;
   // Network activity attributable to this query (grid-backed plans);
   // queries that touched no transport stay note-free.
@@ -583,19 +570,28 @@ Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
   return result;
 }
 
-Result<QueryResult> Session::ExecuteQueryNode(const OpNodePtr& node) const {
+Result<QueryResult> Session::ExecuteQueryNode(const OpNodePtr& node,
+                                              TraceNode* root) const {
   QueryResult result;
   if (node->op == "exists") {
-    // Exists? [A, 7, 7] — boolean result (paper §2.2.1).
-    if (node->inputs.size() != 1) {
+    // Exists? [A, 7, 7] — boolean result (paper §2.2.1). Traced, the
+    // probe's span holds the input scan and notes the verdict.
+    if (node->inputs.size() != 1 || node->inputs[0] == nullptr) {
       return Status::Invalid("Exists takes one array");
     }
-    ASSIGN_OR_RETURN(MemArray in, Eval(node->inputs[0]));
+    TraceSpan span(clock_, root);
+    TraceNode* child = nullptr;
+    if (root != nullptr) {
+      child = root->AddChild();
+      child->label = PlanLabel(*node->inputs[0]);
+    }
+    ASSIGN_OR_RETURN(MemArray in, Eval(node->inputs[0], child));
     result.kind = QueryResult::Kind::kBool;
     result.boolean = in.Exists(node->numbers);
+    if (root != nullptr) root->AddNote("exists", result.boolean ? 1 : 0);
     return result;
   }
-  ASSIGN_OR_RETURN(MemArray out, Eval(node));
+  ASSIGN_OR_RETURN(MemArray out, Eval(node, root));
   result.kind = QueryResult::Kind::kArray;
   result.array = std::make_shared<MemArray>(std::move(out));
   return result;
@@ -825,14 +821,25 @@ Result<MemArray> Session::EvalOp(const OpNode& node,
   return Status::NotImplemented("unknown operator '" + op + "'");
 }
 
-Result<MemArray> Session::Eval(const OpNodePtr& node) const {
+Result<MemArray> Session::Eval(const OpNodePtr& node, TraceNode* self) const {
   if (node == nullptr) return Status::Invalid("null query node");
-  if (node->is_array_ref()) return ResolveArrayRef(*node, nullptr);
+  TraceSpan span(clock_, self);
+
+  if (node->is_array_ref()) {
+    ASSIGN_OR_RETURN(MemArray out, ResolveArrayRef(*node, self));
+    if (self != nullptr) self->out_cells = out.CellCount();
+    return out;
+  }
 
   std::vector<MemArray> inputs;
   inputs.reserve(node->inputs.size());
   for (const auto& in : node->inputs) {
-    ASSIGN_OR_RETURN(MemArray a, Eval(in));
+    TraceNode* child = nullptr;
+    if (self != nullptr && in != nullptr) {
+      child = self->AddChild();
+      child->label = PlanLabel(*in);
+    }
+    ASSIGN_OR_RETURN(MemArray a, Eval(in, child));
     inputs.push_back(std::move(a));
   }
 
@@ -842,38 +849,9 @@ Result<MemArray> Session::Eval(const OpNodePtr& node) const {
   uint64_t t0 = clock_();
   Result<MemArray> out = EvalOp(*node, &inputs, ctx);
   FlushExecStats(node->op, stats, clock_() - t0);
-  return out;
-}
+  if (self == nullptr || !out.ok()) return out;
 
-Result<MemArray> Session::EvalTraced(const OpNodePtr& node,
-                                     TraceNode* self) const {
-  if (node == nullptr) return Status::Invalid("null query node");
-  TraceSpan span(clock_, self);
-
-  if (node->is_array_ref()) {
-    ASSIGN_OR_RETURN(MemArray out, ResolveArrayRef(*node, self));
-    self->out_cells = out.CellCount();
-    return out;
-  }
-
-  std::vector<MemArray> inputs;
-  inputs.reserve(node->inputs.size());
-  for (const auto& in : node->inputs) {
-    if (in == nullptr) return Status::Invalid("null query node");
-    TraceNode* child = self->AddChild();
-    child->label = PlanLabel(*in);
-    ASSIGN_OR_RETURN(MemArray a, EvalTraced(in, child));
-    inputs.push_back(std::move(a));
-  }
-
-  ExecContext ctx = MakeContext();
-  ExecStats stats;
-  ctx.stats = &stats;
-  uint64_t t0 = clock_();
-  ASSIGN_OR_RETURN(MemArray out, EvalOp(*node, &inputs, ctx));
-  FlushExecStats(node->op, stats, clock_() - t0);
-
-  self->out_cells = out.CellCount();
+  self->out_cells = out.value().CellCount();
   if (stats.cells_visited > 0) {
     self->AddNote("cells_visited", static_cast<double>(stats.cells_visited));
   }

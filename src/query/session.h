@@ -81,7 +81,11 @@ class Session {
   Result<QueryResult> Execute(const std::string& statement);
   Result<QueryResult> Execute(const Statement& stmt);
   // Evaluates an operator tree to an array (the binding entry point).
-  Result<MemArray> Eval(const OpNodePtr& node) const;
+  // With `self` set it is traced: `self` (labeled by the caller) gets
+  // wall time, output cells and ExecStats notes, and one labeled child
+  // per input, recursively. Stats always flush to scidb.exec.* metrics.
+  Result<MemArray> Eval(const OpNodePtr& node,
+                        TraceNode* self = nullptr) const;
 
   // Logical optimization of query trees before execution (default on);
   // see query/optimizer.h. Off-switch for ablation benchmarks.
@@ -180,7 +184,11 @@ class Session {
 
  private:
   int EffectiveParallelismLocked() const EXCLUSIVE_LOCKS_REQUIRED(mu_);
-  Result<QueryResult> ExecuteQueryNode(const OpNodePtr& node) const;
+  // Runs a query tree: an array result, or a boolean for a top-level
+  // Exists (the one place that handles `exists`). With `root` set it is
+  // traced into that node, which is how `explain analyze` executes.
+  Result<QueryResult> ExecuteQueryNode(const OpNodePtr& node,
+                                       TraceNode* root = nullptr) const;
   Result<QueryResult> ExecuteStatement(const Statement& stmt);
   Result<QueryResult> ExecuteExplain(const Statement& stmt);
 
@@ -190,14 +198,9 @@ class Session {
   Result<MemArray> ResolveArrayRef(const OpNode& node, TraceNode* tn) const;
 
   // Applies one operator to its already-evaluated inputs — the single
-  // dispatch shared by the untraced Eval() path and EvalTraced().
+  // operator dispatch behind Eval(), traced or not.
   Result<MemArray> EvalOp(const OpNode& node, std::vector<MemArray>* inputs,
                           const ExecContext& ctx) const;
-
-  // Traced evaluation: fills `self` (labeled by the caller) with wall
-  // time, output cells, and per-operator ExecStats, recursing into child
-  // TraceNodes; also flushes the stats to the scidb.exec.* metrics.
-  Result<MemArray> EvalTraced(const OpNodePtr& node, TraceNode* self) const;
 
   // Catalog state: a Session is driven by one statement-issuing thread
   // (worker threads only see operator-local state), so the registries and

@@ -166,5 +166,49 @@ TEST(GridReplicationTest, ReplayedLoadIsIdempotent) {
   }
 }
 
+TEST(GridReplicationTest, BytesMovedCountsOnlyNodesNewToTheChunk) {
+  // Moved bytes are bytes landing on a node that did not already hold
+  // the chunk. At k=2 on two nodes every node already holds every
+  // chunk, so re-sharding onto a range scheme moves nothing; at k=1 only
+  // the chunks whose node changes move. ParallelSjoin's staging
+  // re-shard and Repartition apply the same rule, so they agree.
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  auto range = std::make_shared<RangePartitioner>(0, std::vector<int64_t>{8});
+  ArraySchema sa("a", {{"x", 1, 16, 4}},
+                 {{"u", DataType::kDouble, true, false}});
+  ArraySchema sb("b", {{"x", 1, 16, 4}},
+                 {{"w", DataType::kDouble, true, false}});
+  DistributedArray da(sa, range);
+  for (int64_t x = 1; x <= 16; ++x) {
+    ASSERT_TRUE(da.SetCell({x}, {Value(static_cast<double>(x))}, 0).ok());
+  }
+  for (int k : {1, 2}) {
+    GridNetOptions net;
+    net.replication = k;
+    DistributedArray db(sb, std::make_shared<HashPartitioner>(2), net);
+    for (int64_t x = 1; x <= 16; ++x) {
+      ASSERT_TRUE(
+          db.SetCell({x}, {Value(static_cast<double>(-x))}, 0).ok());
+    }
+    int64_t sjoin_moved = -1;
+    Result<MemArray> joined =
+        da.ParallelSjoin(ctx, db, {{"x", "x"}}, &sjoin_moved);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(joined.value().CellCount(), 16) << "k=" << k;
+
+    Result<int64_t> repartition_moved = db.Repartition(range, 0);
+    ASSERT_TRUE(repartition_moved.ok())
+        << repartition_moved.status().ToString();
+    EXPECT_EQ(db.TotalCells(), 16 * k) << "k=" << k;
+
+    const int64_t want = k == 1 ? 40 : 0;
+    EXPECT_EQ(sjoin_moved, want) << "k=" << k;
+    EXPECT_EQ(repartition_moved.value(), want) << "k=" << k;
+    EXPECT_EQ(sjoin_moved, repartition_moved.value()) << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace scidb

@@ -312,7 +312,7 @@ TEST(RpcTest, TracedCallStitchesClientAndServerSpans) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value(), Bytes({2, 1}));
 
-  std::vector<SpanRecord> cs = client_spans.Take(co.trace.trace_id);
+  std::vector<TraceNode> cs = client_spans.Take(co.trace.trace_id);
   ASSERT_EQ(cs.size(), 1u);
   EXPECT_EQ(cs[0].label, "rpc.ScanShard");
   EXPECT_EQ(cs[0].parent_span_id, co.trace.span_id);
@@ -328,7 +328,7 @@ TEST(RpcTest, TracedCallStitchesClientAndServerSpans) {
 
   // The handler span parents onto the client call span — the edge the
   // coordinator's stitch walks to hang server work under the RPC.
-  std::vector<SpanRecord> ss = server.TakeSpans(co.trace.trace_id);
+  std::vector<TraceNode> ss = server.TakeSpans(co.trace.trace_id);
   ASSERT_EQ(ss.size(), 1u);
   EXPECT_EQ(ss[0].label, "server.ScanShard");
   EXPECT_EQ(ss[0].parent_span_id, cs[0].span_id);
@@ -367,7 +367,7 @@ TEST(RpcTest, TracedRetriedCallNotesRetryCountOnOneSpan) {
 
   // One span covers all three attempts; its notes carry the retry
   // count and the backoff spent getting there.
-  std::vector<SpanRecord> cs = client_spans.Take(co.trace.trace_id);
+  std::vector<TraceNode> cs = client_spans.Take(co.trace.trace_id);
   ASSERT_EQ(cs.size(), 1u);
   const double* attempts = cs[0].FindNote("attempts");
   ASSERT_NE(attempts, nullptr);
@@ -412,7 +412,7 @@ TEST(RpcTest, SpansRequireBothActiveTraceAndStore) {
   r = bare.Call(0, MessageType::kScanShard, Bytes({2}), co);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(client_spans.size(), 0u);
-  std::vector<SpanRecord> ss = server.TakeSpans(co.trace.trace_id);
+  std::vector<TraceNode> ss = server.TakeSpans(co.trace.trace_id);
   ASSERT_EQ(ss.size(), 1u);
   EXPECT_NE(ss[0].parent_span_id, co.trace.span_id);  // rewritten
   EXPECT_NE(ss[0].parent_span_id, 0u);

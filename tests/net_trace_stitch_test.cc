@@ -239,5 +239,109 @@ TEST(NetTraceStitchTest, FaultedAttemptCountsAgreeAcrossTransports) {
   EXPECT_EQ(shapes[0], shapes[2]);
 }
 
+// A clean fault wrapper (so a node can be partitioned) on virtual time
+// with a 1 s call deadline: a partitioned node costs four attempt
+// timeouts of virtual time, no real sleeping.
+GridNetOptions PartitionableOptions(net::VirtualTime* vt) {
+  GridNetOptions net;
+  net.fault_seed = 5;                       // enables the fault wrapper...
+  net.fault_profile = net::FaultProfile{};  // ...with no random faults
+  net.call.deadline_ns = 1'000'000'000ull;
+  net.clock = vt->clock();
+  net.sleep = vt->sleep();
+  return net;
+}
+
+double NoteOr(const TraceNode& node, const std::string& key, double dflt) {
+  const double* v = node.FindNote(key);
+  return v != nullptr ? *v : dflt;
+}
+
+// The stitched sub-tree of a failed op: an `err` note on the op, one
+// "node <i>" child per node, and on the partitioned node one rpc.* span
+// that exhausted its attempts with no server span under it.
+void ExpectFailedOpStitched(const TraceNode& op, const std::string& rpc,
+                            int partitioned) {
+  EXPECT_EQ(NoteOr(op, "err", 0), 1.0) << op.label;
+  ASSERT_EQ(op.children.size(), 4u) << op.label;
+  for (int node = 0; node < 4; ++node) {
+    EXPECT_EQ(op.children[node]->label, "node " + std::to_string(node));
+  }
+  const TraceNode& lost = *op.children[partitioned];
+  ASSERT_EQ(lost.children.size(), 1u);
+  const TraceNode& call = *lost.children[0];
+  EXPECT_EQ(call.label, rpc);
+  EXPECT_EQ(NoteOr(call, "attempts", 0), 4.0);
+  EXPECT_EQ(NoteOr(call, "retries", 0), 3.0);
+  EXPECT_EQ(NoteOr(call, "err", 0), 1.0);
+  EXPECT_TRUE(call.children.empty());  // the request never arrived
+}
+
+TEST(NetTraceStitchTest, FailedAggregateIsStitchedWithErrNote) {
+  MemArray src = UniformSky(16, 4, 41);
+  net::VirtualTime vt;
+  DistributedArray d(Sky(), QuadPartitioner(), PartitionableOptions(&vt));
+  ASSERT_TRUE(d.Load(src, 0).ok());
+  ASSERT_NE(d.fault_injector(), nullptr);
+  d.fault_injector()->PartitionNode(1);
+
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  QueryTrace failed;
+  d.set_trace_node(&failed.root);
+  Result<MemArray> r = d.ParallelAggregate(ctx, {}, "sum", "flux");
+  d.set_trace_node(nullptr);
+  ASSERT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
+  ASSERT_EQ(failed.root.children.size(), 1u);
+  const TraceNode& op = *failed.root.children[0];
+  EXPECT_EQ(op.label, "grid.parallel_aggregate");
+  ExpectFailedOpStitched(op, "rpc.ScanShard", 1);
+  // Every other slot that ran before the fan-out was cancelled reached
+  // its node, and its handler span was collected with the failed trace.
+  EXPECT_EQ(CountLabel(op, "rpc.ScanShard"),
+            CountLabel(op, "server.ScanShard") + 1);
+
+  // Healed, the next traced op sees exactly its own spans: the failed
+  // trace's spans were drained by its stitch, not left behind.
+  d.fault_injector()->HealPartition(1);
+  QueryTrace healed = TracedAggregate(&d);
+  ASSERT_EQ(healed.root.children.size(), 1u);
+  EXPECT_EQ(healed.root.children[0]->FindNote("err"), nullptr);
+  EXPECT_EQ(CountLabel(healed.root, "rpc.ScanShard"), 4);
+  EXPECT_EQ(CountLabel(healed.root, "server.ScanShard"), 4);
+}
+
+TEST(NetTraceStitchTest, FailedLoadIsStitchedWithErrNote) {
+  MemArray src = UniformSky(16, 4, 43);
+  net::VirtualTime vt;
+  DistributedArray d(Sky(), QuadPartitioner(), PartitionableOptions(&vt));
+  ASSERT_NE(d.fault_injector(), nullptr);
+  d.fault_injector()->PartitionNode(1);
+
+  QueryTrace failed;
+  d.set_trace_node(&failed.root);
+  Status s = d.Load(src, 0);
+  d.set_trace_node(nullptr);
+  ASSERT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
+  ASSERT_EQ(failed.root.children.size(), 1u);
+  const TraceNode& op = *failed.root.children[0];
+  EXPECT_EQ(op.label, "grid.load");
+  ExpectFailedOpStitched(op, "rpc.ChunkPut", 1);
+  // Load stops at the first failed chunk: every put before it was
+  // served, the failed one was not.
+  EXPECT_EQ(CountLabel(op, "rpc.ChunkPut"),
+            CountLabel(op, "server.ChunkPut") + 1);
+  EXPECT_EQ(NoteOr(op, "net.rpcs", 0),
+            static_cast<double>(CountLabel(op, "rpc.ChunkPut")));
+
+  d.fault_injector()->HealPartition(1);
+  QueryTrace healed = TracedLoad(&d, src);
+  ASSERT_EQ(healed.root.children.size(), 1u);
+  EXPECT_EQ(healed.root.children[0]->FindNote("err"), nullptr);
+  EXPECT_EQ(CountLabel(healed.root, "rpc.ChunkPut"), 16);
+  EXPECT_EQ(CountLabel(healed.root, "server.ChunkPut"), 16);
+}
+
 }  // namespace
 }  // namespace scidb

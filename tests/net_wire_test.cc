@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/expr_serde.h"
@@ -369,7 +370,7 @@ TEST(WireMessageTest, TraceGetRoundTripsSpansAndEvents) {
   EXPECT_EQ(back.value().include_flight, 1);
 
   TraceGetResponse resp;
-  SpanRecord span;
+  TraceNode span;
   span.trace_id = 77;
   span.span_id = 5;
   span.parent_span_id = 2;
@@ -379,7 +380,7 @@ TEST(WireMessageTest, TraceGetRoundTripsSpansAndEvents) {
   span.wall_ns = 250;
   span.AddNote("src", 4);
   span.AddNote("ok", 1);
-  resp.spans.push_back(span);
+  resp.spans.push_back(std::move(span));
   FlightEvent ev;
   ev.seq = 9;
   ev.t_ns = 1234;
@@ -393,7 +394,7 @@ TEST(WireMessageTest, TraceGetRoundTripsSpansAndEvents) {
       TraceGetResponse::Decode(resp.EncodePayload());
   ASSERT_TRUE(rback.ok()) << rback.status().ToString();
   ASSERT_EQ(rback.value().spans.size(), 1u);
-  const SpanRecord& s = rback.value().spans[0];
+  const TraceNode& s = rback.value().spans[0];
   EXPECT_EQ(s.trace_id, 77u);
   EXPECT_EQ(s.span_id, 5u);
   EXPECT_EQ(s.parent_span_id, 2u);
@@ -422,6 +423,58 @@ TEST(WireMessageTest, TraceGetRoundTripsSpansAndEvents) {
   ASSERT_EQ(bytes[18], static_cast<uint8_t>(FlightEventKind::kFaultDrop));
   bytes[18] = 200;  // not a FlightEventKind
   EXPECT_FALSE(TraceGetResponse::Decode(bytes).ok());
+}
+
+TEST(WireMessageTest, TraceGetResponseBytesArePinned) {
+  // Golden encoding of one span with notes plus one flight event. The
+  // span fields travel in a fixed order (trace, span, parent ids as
+  // u64 LE; node as a signed varint; label; start and wall ns; notes);
+  // any reorder or width change breaks mixed-version stitching.
+  TraceGetResponse resp;
+  TraceNode span;
+  span.trace_id = 77;
+  span.span_id = 5;
+  span.parent_span_id = 2;
+  span.node = 3;
+  span.label = "server.ChunkPut";
+  span.start_ns = 1000;
+  span.wall_ns = 250;
+  span.AddNote("src", 4);
+  span.AddNote("ok", 1);
+  resp.spans.push_back(std::move(span));
+  FlightEvent ev;
+  ev.seq = 9;
+  ev.t_ns = 1234;
+  ev.kind = FlightEventKind::kFaultDrop;
+  ev.node = -1;
+  ev.a = 42;
+  ev.b = 1;
+  resp.events.push_back(ev);
+
+  const std::vector<uint8_t> want = {
+      0x01,                                            // span count
+      0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // trace_id 77
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // span_id 5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // parent 2
+      0x06,                                            // node 3 (zigzag)
+      0x0f, 's', 'e', 'r', 'v', 'e', 'r', '.',         // label
+      'C', 'h', 'u', 'n', 'k', 'P', 'u', 't',
+      0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // start_ns 1000
+      0xfa, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // wall_ns 250
+      0x02,                                            // note count
+      0x03, 's', 'r', 'c',                             // "src" = 4.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40,
+      0x02, 'o', 'k',                                  // "ok" = 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+      0x01,                                            // event count
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 9
+      0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // t_ns 1234
+      0x05,                                            // kind kFaultDrop
+      0x01,                                            // node -1 (zigzag)
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // a 42
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // b 1
+  };
+  EXPECT_EQ(resp.EncodePayload(), want);
 }
 
 }  // namespace
