@@ -1,8 +1,11 @@
 #include "common/flight_recorder.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 
+#include "common/logging.h"
 #include "common/trace.h"
 
 namespace scidb {
@@ -134,6 +137,14 @@ void FlightRecorder::Clear() {
   for (Slot& slot : ring_) {
     slot.stamp.store(0, std::memory_order_relaxed);  // relaxed-ok: test-only reset, callers quiesce writers first
   }
+}
+
+// SCIDB_CHECK's abort path: the recorder is lock-free and never checks, so
+// dumping it here cannot re-enter this destructor.
+internal::FatalLogMessage::~FatalLogMessage() {
+  std::cerr << stream_.str() << std::endl;
+  FlightRecorder::Instance().DumpToStderr();
+  std::abort();
 }
 
 }  // namespace scidb

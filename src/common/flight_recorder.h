@@ -97,8 +97,8 @@ class FlightRecorder {
   // "seq=.. t=..ns Kind node=..." lines, oldest first, with a header.
   std::string DumpToString() const;
 
-  // Dump straight to stderr — called from the lock-order detector's abort
-  // path so a deadlock report comes with the event timeline that led to it.
+  // Dump straight to stderr — called from SCIDB_CHECK's abort path so a
+  // failed invariant comes with the event timeline that led to it.
   void DumpToStderr() const;
 
   // Forgets all events. Test-only: not safe against concurrent writers.

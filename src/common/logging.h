@@ -1,8 +1,6 @@
 #ifndef SCIDB_COMMON_LOGGING_H_
 #define SCIDB_COMMON_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -18,10 +16,9 @@ class FatalLogMessage {
   FatalLogMessage(const char* file, int line) {
     stream_ << "FATAL " << file << ":" << line << " ";
   }
-  [[noreturn]] ~FatalLogMessage() {
-    std::cerr << stream_.str() << std::endl;
-    std::abort();
-  }
+  // Prints the message, then the flight-recorder timeline (DESIGN.md §12),
+  // then aborts. Defined in flight_recorder.cc.
+  [[noreturn]] ~FatalLogMessage();
   std::ostream& stream() { return stream_; }
 
  private:

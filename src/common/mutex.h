@@ -6,24 +6,6 @@
 
 #include "common/thread_annotations.h"
 
-// Debug lock-order detection (DESIGN.md §9): when SCIDB_LOCK_ORDER_CHECKS
-// is 1, every Mutex registers with the process-wide LockOrderGraph and
-// each acquisition is checked against the established acquisition order;
-// an inverted order (a cycle in the graph) aborts with the offending
-// cycle. Defaults to on in debug builds and off (zero code, zero bytes)
-// under NDEBUG; -DSCIDB_LOCK_ORDER=ON forces it on for any build type.
-#if !defined(SCIDB_LOCK_ORDER_CHECKS)
-#if defined(NDEBUG)
-#define SCIDB_LOCK_ORDER_CHECKS 0
-#else
-#define SCIDB_LOCK_ORDER_CHECKS 1
-#endif
-#endif
-
-#if SCIDB_LOCK_ORDER_CHECKS
-#include "common/lock_order.h"
-#endif
-
 namespace scidb {
 
 // std::mutex with Clang thread-safety annotations. libstdc++'s std::mutex
@@ -32,54 +14,21 @@ namespace scidb {
 // engine refer to. It satisfies BasicLockable, so CondVar (a
 // std::condition_variable_any) waits on it directly.
 //
-// The optional name is used only by the lock-order detector's diagnostics
-// ("lock#7 (Session::mu_)" beats "lock#7"); it must be a string literal or
-// otherwise outlive the Mutex.
+// Lock order is checked statically by staticcheck's lock-order pass and at
+// runtime by TSan's deadlock detector in the TSan build (DESIGN.md §9);
+// Mutex itself adds nothing to std::mutex, in every build type.
 class CAPABILITY("mutex") Mutex {
  public:
-#if SCIDB_LOCK_ORDER_CHECKS
-  Mutex() : order_id_(lock_order_internal::OnCreate(nullptr)) {}
-  explicit Mutex(const char* name)
-      : order_id_(lock_order_internal::OnCreate(name)) {}
-  ~Mutex() { lock_order_internal::OnDestroy(order_id_); }
-#else
   Mutex() = default;
-  explicit Mutex(const char* /*name*/) {}
-#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() ACQUIRE() {
-#if SCIDB_LOCK_ORDER_CHECKS
-    lock_order_internal::PreAcquire(order_id_);
-    mu_.lock();
-    lock_order_internal::PostAcquire(order_id_);
-#else
-    mu_.lock();
-#endif
-  }
-  void unlock() RELEASE() {
-    mu_.unlock();
-#if SCIDB_LOCK_ORDER_CHECKS
-    lock_order_internal::OnRelease(order_id_);
-#endif
-  }
-  bool try_lock() TRY_ACQUIRE(true) {
-    // try_lock cannot block, so it establishes no ordering edge (the
-    // caller has a non-deadlocking fallback by construction); it only
-    // joins the held stack so later lock() calls see it as held.
-    bool acquired = mu_.try_lock();
-#if SCIDB_LOCK_ORDER_CHECKS
-    if (acquired) lock_order_internal::PostAcquire(order_id_);
-#endif
-    return acquired;
-  }
+  void lock() ACQUIRE() { mu_.lock(); }
+  void unlock() RELEASE() { mu_.unlock(); }
+  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
-#if SCIDB_LOCK_ORDER_CHECKS
-  const uint64_t order_id_;
-#endif
 };
 
 // Scoped lock over Mutex, the project's std::lock_guard replacement for
@@ -98,8 +47,7 @@ class SCOPED_CAPABILITY MutexLock {
 // Condition variable that waits on the annotated Mutex. wait_for takes
 // the Mutex itself (BasicLockable); the lock is held on entry and on
 // return, which matches what the thread-safety analysis assumes for a
-// function that neither acquires nor releases. The lock-order hooks fire
-// on the internal unlock/relock too, so a wait cannot hide an inversion.
+// function that neither acquires nor releases.
 using CondVar = std::condition_variable_any;
 
 }  // namespace scidb

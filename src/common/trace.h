@@ -140,7 +140,7 @@ class SpanStore {
   int64_t dropped() const;
 
  private:
-  mutable Mutex mu_{"SpanStore::mu_"};
+  mutable Mutex mu_;
   const size_t max_spans_;
   std::deque<TraceNode> spans_ GUARDED_BY(mu_);
   int64_t dropped_ GUARDED_BY(mu_) = 0;

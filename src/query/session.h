@@ -225,8 +225,8 @@ class Session {
   // fallback, and the last explain-analyze trace. mu_ is held only for
   // pointer reads/swaps, never across an execution, so it nests strictly
   // outside every engine lock (Session::mu_ -> ThreadPool/cache locks is
-  // the only order the debug lock-order detector ever sees).
-  mutable Mutex mu_{"Session::mu_"};
+  // the only order staticcheck's lock-order pass and TSan ever see).
+  mutable Mutex mu_;
   // Null at width 1: the serial path must not pay even an empty pool.
   std::unique_ptr<ThreadPool> pool_ GUARDED_BY(mu_);
   // Shared-pool mode (DESIGN.md §15): non-null shared_pool_ supersedes

@@ -58,7 +58,7 @@ class FairScheduler {
   ThreadPool pool_;  // NOLINT(lock-coverage): internally synchronized
   Counter* const slices_;  // scidb.server.scheduler_slices
 
-  Mutex mu_{"server.scheduler"};
+  Mutex mu_;
   CondVar cv_;
   bool busy_ GUARDED_BY(mu_) = false;
   uint64_t next_ticket_ GUARDED_BY(mu_) = 1;

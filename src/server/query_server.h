@@ -105,7 +105,7 @@ class QueryServer {
     const uint64_t qid;
     std::atomic<bool> cancel{false};
 
-    Mutex mu{"server.query"};
+    Mutex mu;
     CondVar done_cv;
     // Driver-thread handoff: the submit handler spawns the thread, then
     // stores the handle and flips driver_set under mu. The reaper waits
@@ -135,7 +135,7 @@ class QueryServer {
 
     // Owned by whichever driver holds the busy flag below.
     std::unique_ptr<Session> session;  // NOLINT(lock-coverage): busy-gated
-    Mutex mu{"server.client"};
+    Mutex mu;
     CondVar cv;
     bool busy GUARDED_BY(mu) = false;
   };
@@ -189,7 +189,7 @@ class QueryServer {
   Gauge* const queued_bytes_gauge_;   // scidb.server.queued_result_bytes
   Histogram* const latency_us_;       // scidb.server.query_latency_us
 
-  Mutex mu_{"server.registry"};
+  Mutex mu_;
   bool shutdown_ GUARDED_BY(mu_) = false;
   int active_ GUARDED_BY(mu_) = 0;
   size_t queued_bytes_ GUARDED_BY(mu_) = 0;

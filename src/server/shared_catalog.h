@@ -66,7 +66,7 @@ class SharedCatalog {
     std::vector<int64_t> commit_epochs;
   };
 
-  mutable Mutex mu_{"server.catalog"};
+  mutable Mutex mu_;
   int64_t epoch_ GUARDED_BY(mu_) = 0;
   std::map<std::string, Entry> entries_ GUARDED_BY(mu_);
 };

@@ -1,8 +1,8 @@
 // Flight recorder (DESIGN.md §12): a fixed-size lock-free ring of
 // structured events. The tests pin the observable contract — ordered
 // dumps, newest-events-win overwrite, the kill switch (which AQL cannot
-// reach), and the abort path that prints the timeline when the lock-order
-// detector fires mid-fault-injection.
+// reach), and the abort path that prints the timeline when a SCIDB_CHECK
+// fails mid-fault-injection.
 
 #include "common/flight_recorder.h"
 
@@ -11,7 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/mutex.h"
+#include "common/result.h"
+#include "common/status.h"
 #include "grid/cluster.h"
 #include "net/fault_injection.h"
 #include "net/inprocess_transport.h"
@@ -163,14 +164,12 @@ TEST(FlightRecorderTest, FaultInjectionEventsAppearInDumpInOrder) {
   rec.Clear();
 }
 
-#if SCIDB_LOCK_ORDER_CHECKS
-
 TEST(FlightRecorderDeathTest, AbortDumpContainsInjectedEventsInOrder) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // A lock-order abort must come with the flight-recorder timeline: the
-  // injected fault and the markers recorded before the inversion show
-  // up in the stderr dump, in recording order, after the detector's
-  // report.
+  // A failed SCIDB_CHECK must come with the flight-recorder timeline, in
+  // every build type: the injected fault and the markers recorded before
+  // the check show up in the stderr dump, in recording order, after the
+  // check's message.
   EXPECT_DEATH(
       {
         net::InProcessTransport inner;
@@ -184,21 +183,10 @@ TEST(FlightRecorderDeathTest, AbortDumpContainsInjectedEventsInOrder) {
         (void)transport.Send(0, 1, frame);  // status-ignored: death test only wants the FaultDrop event
         FlightRecorder::Instance().Record(FlightEventKind::kMark, 0, 1);
         FlightRecorder::Instance().Record(FlightEventKind::kMark, 0, 2);
-        Mutex a("flight.death.a");
-        Mutex b("flight.death.b");
-        {
-          MutexLock la(a);
-          MutexLock lb(b);  // NOLINT(lock-order): inversion under test — drives the recorder dump
-        }
-        {
-          MutexLock lb(b);
-          MutexLock la(a);  // inversion: aborts and dumps the recorder
-        }
+        Result<int>(Status::Invalid("x")).value();  // fails its SCIDB_CHECK
       },
-      "lock-order violation.*flight recorder.*FaultDrop.*Mark.*Mark");
+      "Check failed.*flight recorder.*FaultDrop.*Mark.*Mark");
 }
-
-#endif  // SCIDB_LOCK_ORDER_CHECKS
 
 }  // namespace
 }  // namespace scidb

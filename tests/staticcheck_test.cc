@@ -533,6 +533,64 @@ TEST(LockOrderPass, ConsistentNestingIsClean) {
   EXPECT_TRUE(diags.empty());
 }
 
+TEST(LockOrderPass, ThreeLockCycleIsReported) {
+  // A -> B, B -> C and C -> A: no pair is inverted, the cycle only closes
+  // through the third lock.
+  Analysis a;
+  a.files.push_back(MakeFile("src/x/abc.h",
+                             "class B;\n"
+                             "class C;\n"
+                             "class A {\n"
+                             " public:\n"
+                             "  void Lift(B* b);\n"
+                             "  void GrabA();\n"
+                             "\n"
+                             " private:\n"
+                             "  mutable Mutex amu_;\n"
+                             "};\n"
+                             "class B {\n"
+                             " public:\n"
+                             "  void Lift(C* c);\n"
+                             "  void GrabB();\n"
+                             "\n"
+                             " private:\n"
+                             "  mutable Mutex bmu_;\n"
+                             "};\n"
+                             "class C {\n"
+                             " public:\n"
+                             "  void Lift(A* a);\n"
+                             "  void GrabC();\n"
+                             "\n"
+                             " private:\n"
+                             "  mutable Mutex cmu_;\n"
+                             "};\n"));
+  a.files.push_back(MakeFile("src/x/abc.cc",
+                             "void A::Lift(B* b) {\n"
+                             "  MutexLock la(amu_);\n"
+                             "  b->GrabB();\n"
+                             "}\n"
+                             "void A::GrabA() { MutexLock l(amu_); }\n"
+                             "void B::Lift(C* c) {\n"
+                             "  MutexLock lb(bmu_);\n"
+                             "  c->GrabC();\n"
+                             "}\n"
+                             "void B::GrabB() { MutexLock l(bmu_); }\n"
+                             "void C::Lift(A* a) {\n"
+                             "  MutexLock lc(cmu_);\n"
+                             "  a->GrabA();\n"
+                             "}\n"
+                             "void C::GrabC() { MutexLock l(cmu_); }\n"));
+  std::vector<Diagnostic> diags;
+  RunLockOrderPass(a, &diags);
+  ASSERT_EQ(diags.size(), 1u);
+  const Diagnostic& d = diags[0];
+  EXPECT_EQ(d.check, "lock-order");
+  for (const char* lock : {"`A::amu_`", "`B::bmu_`", "`C::cmu_`"}) {
+    EXPECT_NE(d.message.find(lock), std::string::npos)
+        << lock << " missing from: " << d.message;
+  }
+}
+
 TEST(LockOrderPass, ReacquiredHeldMutexIsASelfCycle) {
   Analysis a;
   a.files.push_back(MakeFile("src/x/self.cc",

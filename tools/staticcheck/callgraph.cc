@@ -26,9 +26,9 @@
 // destructor side effects (e.g. `pool_.reset()` joining worker threads)
 // are not modeled.
 //
-// src/common/mutex.h and src/common/lock_order.* are excluded from the
-// index: they are the lock implementation itself, and modeling their
-// internals would alias every Mutex onto the wrapped std::mutex member.
+// src/common/mutex.h is excluded from the index: it is the lock
+// implementation itself, and modeling its internals would alias every
+// Mutex onto the wrapped std::mutex member.
 
 #include <algorithm>
 #include <cstddef>
@@ -99,9 +99,7 @@ bool IsMutexTypeName(const std::string& s) {
 
 // The lock implementation itself is not indexed (see file comment).
 bool IsLockInfraFile(const std::string& path) {
-  return path == "src/common/mutex.h" ||
-         path == "src/common/lock_order.h" ||
-         path == "src/common/lock_order.cc";
+  return path == "src/common/mutex.h";
 }
 
 struct ClassRange {

@@ -59,8 +59,8 @@ const std::vector<CheckInfo>& AllChecks() {
       {"lock-order",
        "the whole-program lock acquisition graph must be acyclic",
        "Deadlock needs a cycle: thread 1 holds A and wants B, thread 2 "
-       "holds B and wants A. The runtime detector in common/lock_order "
-       "aborts on inversions, but only on interleavings that actually "
+       "holds B and wants A. TSan's deadlock detector (the TSan build) "
+       "reports inversions, but only on acquisitions that actually "
        "execute. This pass builds the static \"acquires B while holding "
        "A\" graph over the cross-file call graph — MutexLock RAII "
        "sites, direct lock()/unlock(), REQUIRES/ACQUIRE annotations — "

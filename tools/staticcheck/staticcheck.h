@@ -24,9 +24,9 @@
 //   lock-order      whole-program "acquires B while holding A" graph
 //                   built over the cross-file call graph; any cycle is
 //                   reported with its full witness path (files:lines
-//                   through the call chain). Static complement to the
-//                   runtime detector in common/lock_order, which only
-//                   sees interleavings that actually execute.
+//                   through the call chain). Static complement to
+//                   TSan's deadlock detector in the TSan build, which
+//                   only sees acquisitions that actually execute.
 //   blocking-under-lock
 //                   a manifest of blocking roots (RPC Call, socket
 //                   send/recv, ThreadPool waits, file I/O, sleeps) is
@@ -207,9 +207,9 @@ struct ConcurrencyModel {
 };
 
 // Builds the function index + per-function lock-effect summaries over
-// every file in `a`. src/common/mutex.h and src/common/lock_order.* are
-// excluded: they *are* the lock implementation, and modeling their
-// internals would alias every Mutex onto the wrapped std::mutex member.
+// every file in `a`. src/common/mutex.h is excluded: it *is* the lock
+// implementation, and modeling its internals would alias every Mutex onto
+// the wrapped std::mutex member.
 ConcurrencyModel BuildConcurrencyModel(const Analysis& a);
 
 // Conservative name+class call resolution (exposed for tests): indices
