@@ -39,6 +39,9 @@ static void Run(Session& session, const std::string& stmt) {
       std::printf("> %-60s -- %zu value(s)\n", stmt.c_str(),
                   r.values.size());
       break;
+    case QueryResult::Kind::kExplain:
+      std::printf("> %s\n%s\n", stmt.c_str(), r.message.c_str());
+      break;
   }
 }
 

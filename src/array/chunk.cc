@@ -1,5 +1,8 @@
 #include "array/chunk.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace scidb {
 
 AttributeBlock::AttributeBlock(DataType type, bool uncertain, int64_t cells)
@@ -151,6 +154,68 @@ double AttributeBlock::GetStderr(int64_t i) const {
   return stderrs_[static_cast<size_t>(i)];
 }
 
+void AttributeBlock::CopyPresentRun(const AttributeBlock& src,
+                                    int64_t src_rank, int64_t dst_rank,
+                                    int64_t n, const uint8_t* present) {
+  SCIDB_DCHECK(src.type_ == type_ && src.uncertain_ == uncertain_);
+  const size_t s0 = static_cast<size_t>(src_rank);
+  const size_t d0 = static_cast<size_t>(dst_rank);
+  const size_t len = static_cast<size_t>(n);
+  const bool dense = std::memchr(present, 0, len) == nullptr;
+  auto copy = [&](auto& dst_col, const auto& src_col) {
+    if (dense) {
+      std::copy_n(src.nulls_.begin() + static_cast<ptrdiff_t>(s0), len,
+                  nulls_.begin() + static_cast<ptrdiff_t>(d0));
+      std::copy_n(src_col.begin() + static_cast<ptrdiff_t>(s0), len,
+                  dst_col.begin() + static_cast<ptrdiff_t>(d0));
+      return;
+    }
+    for (size_t k = 0; k < len; ++k) {
+      if (!present[k]) continue;
+      nulls_[d0 + k] = src.nulls_[s0 + k];
+      dst_col[d0 + k] = src_col[s0 + k];
+    }
+  };
+  bool numeric = false;
+  switch (type_) {
+    case DataType::kBool:
+      copy(bools_, src.bools_);
+      break;
+    case DataType::kInt64:
+      copy(i64_, src.i64_);
+      numeric = true;
+      break;
+    case DataType::kFloat:
+      copy(f32_, src.f32_);
+      numeric = true;
+      break;
+    case DataType::kDouble:
+      copy(f64_, src.f64_);
+      numeric = true;
+      break;
+    case DataType::kString:
+      copy(strs_, src.strs_);
+      break;
+    case DataType::kArray:
+      copy(arrays_, src.arrays_);
+      // Get() reads a non-null cell without a nested array as null.
+      for (size_t k = 0; k < len; ++k) {
+        if (present[k] && arrays_[d0 + k] == nullptr) nulls_[d0 + k] = 1;
+      }
+      break;
+  }
+  if (!uncertain_) return;
+  // Error bars go through SetStderr in row-major order, so the constant
+  // column collapses (or materializes) exactly as under per-cell Set.
+  // Get() carries an error bar only for numeric types; Set() then
+  // records 0 for the others.
+  for (size_t k = 0; k < len; ++k) {
+    if (!present[k] || nulls_[d0 + k]) continue;
+    SetStderr(static_cast<int64_t>(d0 + k),
+              numeric ? src.GetStderr(static_cast<int64_t>(s0 + k)) : 0.0);
+  }
+}
+
 size_t AttributeBlock::ByteSize() const {
   size_t bytes = nulls_.size();
   bytes += bools_.size();
@@ -209,6 +274,45 @@ std::vector<Value> Chunk::GetCell(const Coordinates& c) const {
     out[a] = blocks_[a].Get(rank);
   }
   return out;
+}
+
+void Chunk::CopyPresentFrom(const Chunk& src, const Box& box,
+                            const std::vector<size_t>& src_attrs) {
+  SCIDB_DCHECK(src_attrs.empty() ? src.nattrs() == nattrs()
+                                 : src_attrs.size() == nattrs());
+  SCIDB_DCHECK(box_.Contains(box.low) && box_.Contains(box.high) &&
+               src.box_.Contains(box.low) && src.box_.Contains(box.high))
+      << "copy box " << box.ToString() << " outside " << box_.ToString()
+      << " or " << src.box_.ToString();
+  if (box.ndims() == 0) return;
+  const size_t last = box.ndims() - 1;
+  const int64_t n = box.high[last] - box.low[last] + 1;
+  Coordinates row = box.low;
+  do {
+    const int64_t sr = RankInBox(src.box_, row);
+    const int64_t dr = RankInBox(box_, row);
+    const uint8_t* present = src.present_.data() + sr;
+    for (size_t a = 0; a < blocks_.size(); ++a) {
+      blocks_[a].CopyPresentRun(
+          src.blocks_[src_attrs.empty() ? a : src_attrs[a]], sr, dr, n,
+          present);
+    }
+    for (int64_t k = 0; k < n; ++k) {
+      if (present[k]) MarkPresent(dr + k);
+    }
+  } while (NextRowInBox(box, &row));
+}
+
+bool Chunk::AnyPresentIn(const Box& box) const {
+  if (present_count_ == 0 || box.ndims() == 0) return false;
+  const size_t last = box.ndims() - 1;
+  const size_t n = static_cast<size_t>(box.high[last] - box.low[last] + 1);
+  Coordinates row = box.low;
+  do {
+    const uint8_t* p = present_.data() + RankInBox(box_, row);
+    if (std::any_of(p, p + n, [](uint8_t v) { return v != 0; })) return true;
+  } while (NextRowInBox(box, &row));
+  return false;
 }
 
 size_t Chunk::ByteSize() const {

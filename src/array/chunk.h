@@ -46,6 +46,16 @@ class AttributeBlock {
   void SetStderr(int64_t i, double s);
   double GetStderr(int64_t i) const;
 
+  // Copies the `n` cells of `src` starting at `src_rank` whose `present`
+  // flag is set (present[k] covers src_rank + k) onto the cells starting
+  // at `dst_rank`: typed values, null flags and error bars, with the same
+  // result as Set(dst, src.Get(src)) cell by cell, including the
+  // constant-stderr collapse (except that an uncertain int64 keeps all
+  // its bits instead of passing through a double). `src` must have this
+  // block's type and uncertainty.
+  void CopyPresentRun(const AttributeBlock& src, int64_t src_rank,
+                      int64_t dst_rank, int64_t n, const uint8_t* present);
+
   // Direct access to the dense payload for vectorized loops.
   std::vector<double>* mutable_doubles() { return &f64_; }
   const std::vector<double>& doubles() const { return f64_; }
@@ -116,6 +126,18 @@ class Chunk {
   // Cell-level convenience API (operators use rank + block fast paths).
   void SetCell(const Coordinates& c, const std::vector<Value>& values);
   std::vector<Value> GetCell(const Coordinates& c) const;
+
+  // Copies the present cells of `src` inside `box` into this chunk, one
+  // typed row run per attribute. Absent source cells leave this chunk's
+  // cells untouched, so copying several chunks in turn resolves overlaps
+  // last-writer-wins, as SetCell does. `box` must lie inside both chunks'
+  // boxes. Attribute i is copied from source attribute `src_attrs[i]`
+  // (the same index when empty); the two must have the same type and
+  // uncertainty.
+  void CopyPresentFrom(const Chunk& src, const Box& box,
+                       const std::vector<size_t>& src_attrs = {});
+  // True when some cell of `box` (inside this chunk's box) is present.
+  [[nodiscard]] bool AnyPresentIn(const Box& box) const;
 
   size_t ByteSize() const;
 

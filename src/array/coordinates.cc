@@ -51,4 +51,16 @@ bool NextInBox(const Box& box, Coordinates* c) {
   return false;
 }
 
+bool NextRowInBox(const Box& box, Coordinates* c) {
+  if (box.ndims() == 0) return false;
+  for (size_t i = box.ndims() - 1; i-- > 0;) {
+    if ((*c)[i] < box.high[i]) {
+      ++(*c)[i];
+      return true;
+    }
+    (*c)[i] = box.low[i];
+  }
+  return false;
+}
+
 }  // namespace scidb

@@ -89,6 +89,11 @@ Coordinates UnrankInBox(const Box& box, int64_t rank);
 // end. `c` must start at box.low.
 [[nodiscard]] bool NextInBox(const Box& box, Coordinates* c);
 
+// The same walk a row at a time: advances `c` to the first cell of the
+// next row of `box` (a row runs along the last dimension). Returns false
+// after the last row. `c` must start at box.low.
+[[nodiscard]] bool NextRowInBox(const Box& box, Coordinates* c);
+
 }  // namespace scidb
 
 #endif  // SCIDB_ARRAY_COORDINATES_H_

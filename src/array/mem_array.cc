@@ -51,6 +51,85 @@ const Chunk* MemArray::FindChunk(const Coordinates& origin) const {
   return it == chunks_.end() ? nullptr : it->second.get();
 }
 
+Status MemArray::UpsertChunk(const Chunk& src, const Box* clip) {
+  return Upsert(src, clip, nullptr);
+}
+
+Status MemArray::UpsertChunk(std::shared_ptr<Chunk> src) {
+  const Chunk& ref = *src;
+  return Upsert(ref, nullptr, &src);
+}
+
+Status MemArray::Upsert(const Chunk& src, const Box* clip,
+                        std::shared_ptr<Chunk>* adopt) {
+  const Box& box = src.box();
+  if (box.ndims() != schema_.ndims()) {
+    return Status::Invalid("chunk arity " + std::to_string(box.ndims()) +
+                           " != ndims " + std::to_string(schema_.ndims()));
+  }
+  if (src.nattrs() != schema_.nattrs()) {
+    return Status::Invalid("chunk attribute count " +
+                           std::to_string(src.nattrs()) + " != nattrs " +
+                           std::to_string(schema_.nattrs()));
+  }
+  for (size_t a = 0; a < src.nattrs(); ++a) {
+    if (src.block(a).type() != schema_.attr(a).type ||
+        src.block(a).uncertain() != schema_.attr(a).uncertain) {
+      return Status::Invalid("chunk attribute " + std::to_string(a) +
+                             " does not match '" + schema_.attr(a).name +
+                             "' of array '" + schema_.name() + "'");
+    }
+  }
+  if (src.present_count() == 0) return Status::OK();
+  Box region = box;
+  if (clip != nullptr) {
+    if (!box.Intersects(*clip)) return Status::OK();
+    region = box.Intersect(*clip);
+    for (size_t d = 0; d < region.ndims(); ++d) {
+      if (region.low[d] > region.high[d]) return Status::OK();  // inverted
+    }
+  }
+  // A box reaching past the declared bounds may still hold only in-bound
+  // cells; check them one by one (never the case for chunks this engine
+  // writes), then clip the region to the bounds.
+  if (!schema_.ContainsCoords(region.low) ||
+      !schema_.ContainsCoords(region.high)) {
+    Coordinates c = region.low;
+    do {
+      if (src.IsPresent(RankInBox(box, c)) && !schema_.ContainsCoords(c)) {
+        return Status::OutOfRange("cell " + CoordsToString(c) +
+                                  " outside bounds of array '" +
+                                  schema_.name() + "'");
+      }
+    } while (NextInBox(region, &c));
+    for (size_t d = 0; d < region.ndims(); ++d) {
+      const DimensionDesc& dim = schema_.dim(d);
+      region.low[d] = std::max(region.low[d], dim.low);
+      if (!dim.unbounded()) {
+        region.high[d] = std::min(region.high[d], dim.high);
+      }
+      if (region.low[d] > region.high[d]) return Status::OK();
+    }
+  }
+
+  const Coordinates& origin = box.low;
+  if (region == box && ChunkOriginFor(origin) == origin &&
+      ChunkBoxFor(origin) == box && chunks_.count(origin) == 0) {
+    chunks_.emplace(origin, adopt != nullptr ? std::move(*adopt)
+                                             : std::make_shared<Chunk>(src));
+    return Status::OK();
+  }
+
+  // Split over the grid slots the region covers, in origin order.
+  ForEachSlot(region, [&](const Coordinates& slot) {
+    const Box part = ChunkBoxFor(slot).Intersect(region);
+    if (src.AnyPresentIn(part)) {
+      GetOrCreateChunk(slot)->CopyPresentFrom(src, part);  // copy-on-write
+    }
+  });
+  return Status::OK();
+}
+
 Status MemArray::SetCell(const Coordinates& c,
                          const std::vector<Value>& values) {
   if (c.size() != schema_.ndims()) {

@@ -32,8 +32,41 @@ class MemArray {
   // bounds for bounded dimensions).
   Box ChunkBoxFor(const Coordinates& origin) const;
 
+  // Calls fn(origin) with the grid origin of every chunk slot `region`
+  // overlaps, in origin order.
+  template <typename Fn>
+  void ForEachSlot(const Box& region, Fn&& fn) const {
+    const Coordinates first = ChunkOriginFor(region.low);
+    const Coordinates last = ChunkOriginFor(region.high);
+    Coordinates slot = first;
+    for (bool more = true; more;) {
+      fn(static_cast<const Coordinates&>(slot));
+      more = false;
+      for (size_t d = slot.size(); d-- > 0 && !more;) {
+        if (slot[d] < last[d]) {
+          slot[d] += schema_.dim(d).chunk_interval;
+          more = true;
+        } else {
+          slot[d] = first[d];
+        }
+      }
+    }
+  }
+
   Chunk* GetOrCreateChunk(const Coordinates& origin);
   const Chunk* FindChunk(const Coordinates& origin) const;
+
+  // Upserts the present cells of `src` — only those inside `*clip`, when
+  // given — last writer wins, as SetCell cell by cell would. A
+  // grid-aligned chunk whose slot is free is adopted whole: a copy of
+  // `src` here, `src` itself (shared, copy-on-write) in the shared_ptr
+  // overload. Any other chunk is split over the grid slots it covers and
+  // copied in typed row runs (Chunk::CopyPresentFrom). Cells absent from
+  // `src` add nothing. Fails like SetCell (OutOfRange) when a present cell
+  // lies outside the declared bounds, and with Invalid when `src`'s
+  // attributes differ from the schema's; nothing is written then.
+  Status UpsertChunk(const Chunk& src, const Box* clip = nullptr);
+  Status UpsertChunk(std::shared_ptr<Chunk> src);
 
   // Cell API. SetCell validates bounds (OutOfRange on violation; unbounded
   // dimensions accept any coordinate >= low, paper §2.1's '*' marker).
@@ -81,6 +114,9 @@ class MemArray {
   }
 
  private:
+  Status Upsert(const Chunk& src, const Box* clip,
+                std::shared_ptr<Chunk>* adopt);
+
   ArraySchema schema_;
   std::map<Coordinates, std::shared_ptr<Chunk>> chunks_;
 };

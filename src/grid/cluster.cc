@@ -57,31 +57,27 @@ bool IsPeerFailure(const Status& s) {
 // every parallel operator's result and FetchSlot's failover merge. A
 // chunk whose origin is still free is adopted whole (shared, not
 // copied). When two parts hold the same origin — a boundary replica
-// (ReplicateBoundaries) beside its owner's chunk — the incoming cells are
-// upserted one by one into a private copy, so no cell is lost and a cell
-// held twice counts once. Empty chunks add nothing.
-void UnionInto(const MemArray& part, MemArray* into) {
+// (ReplicateBoundaries) beside its owner's chunk — the incoming present
+// cells are upserted into a private copy (MemArray::UpsertChunk), so no
+// cell is lost and a cell held twice counts once. Empty chunks add
+// nothing.
+Status UnionInto(const MemArray& part, MemArray* into) {
   for (const auto& [origin, chunk] : part.chunks()) {
-    if (chunk->present_count() == 0) continue;
-    if (into->mutable_chunks()->emplace(origin, chunk).second) continue;
-    Chunk* dst = into->GetOrCreateChunk(origin);  // copy-on-write
-    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        dst->block(a).Set(it.rank(), chunk->block(a).Get(it.rank()));
-      }
-      dst->MarkPresent(it.rank());
-    }
+    RETURN_NOT_OK(into->UpsertChunk(chunk));
   }
+  return Status::OK();
 }
 
 // Re-shards `shards` onto `placement` at load epoch `time`: the one
 // rebuild behind Repartition and ParallelSjoin's staging copy. Every
-// held copy of a chunk is upserted cell by cell onto each node of the
-// chunk's new replica set. Copies at k > 1 are identical, and a boundary
-// replica holds a subset of its owner's chunk, so the union loses
-// nothing. `*moved` counts the bytes landing on a node that did not
-// already hold the chunk. `placed`, when set, receives each chunk's new
-// replica set.
+// held copy of a chunk is upserted (MemArray::UpsertChunk) onto each node
+// of the chunk's new replica set: the first lands as a private copy
+// (shards never share a chunk, since each node's service mutates its
+// shard under its own lock), later ones add their present cells to it.
+// Copies at k > 1 are identical, and a boundary replica holds a subset of
+// its owner's chunk, so the union loses nothing. `*moved` counts the
+// bytes landing on a node that did not already hold the chunk. `placed`,
+// when set, receives each chunk's new replica set.
 Result<std::vector<MemArray>> Reshard(
     const std::vector<MemArray>& shards, const ArraySchema& schema,
     const ReplicaPlacement& placement, int64_t time, int64_t* moved,
@@ -96,7 +92,6 @@ Result<std::vector<MemArray>> Reshard(
   std::vector<MemArray> next;
   next.reserve(static_cast<size_t>(placement.num_nodes()));
   for (int i = 0; i < placement.num_nodes(); ++i) next.emplace_back(schema);
-  std::vector<Value> cell;
   for (const auto& [origin, held] : copies) {
     const std::vector<int> dests = placement.ReplicasFor(origin, time);
     for (int d : dests) {
@@ -105,15 +100,8 @@ Result<std::vector<MemArray>> Reshard(
       }
     }
     for (const auto& [node, chunk] : held) {
-      for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-        cell.clear();
-        for (size_t a = 0; a < chunk->nattrs(); ++a) {
-          cell.push_back(chunk->block(a).Get(it.rank()));
-        }
-        for (int d : dests) {
-          RETURN_NOT_OK(
-              next[static_cast<size_t>(d)].SetCell(it.coords(), cell));
-        }
+      for (int d : dests) {
+        RETURN_NOT_OK(next[static_cast<size_t>(d)].UpsertChunk(*chunk));
       }
     }
     if (placed != nullptr) (*placed)[origin] = dests;
@@ -461,7 +449,7 @@ Result<MemArray> DistributedArray::FetchSlot(
         break;
       }
       RecordCallResult(n, true);
-      UnionInto(r.value(), &merged);
+      RETURN_NOT_OK(UnionInto(r.value(), &merged));
     }
     if (restart) continue;
     if (pred == nullptr) {
@@ -911,7 +899,7 @@ Result<MemArray> DistributedArray::FanOut(const char* label,
   MemArray out(partials[0].value().schema());
   for (const Result<MemArray>& partial : partials) {
     RETURN_NOT_OK(partial.status());
-    UnionInto(partial.value(), &out);
+    RETURN_NOT_OK(UnionInto(partial.value(), &out));
   }
   return out;
 }

@@ -65,14 +65,9 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkPut(
                                                  owner_->schema_.attrs()));
   MutexLock lock(mu_);
   MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
-  std::vector<Value> cell;
-  for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-    cell.clear();
-    for (size_t a = 0; a < chunk.nattrs(); ++a) {
-      cell.push_back(chunk.block(a).Get(it.rank()));
-    }
-    RETURN_NOT_OK(shard.SetCell(it.coords(), cell));
-  }
+  // The decoded chunk is ours: a free grid slot takes it as is.
+  RETURN_NOT_OK(
+      shard.UpsertChunk(std::make_shared<Chunk>(std::move(chunk))));
   // Derived, not incremented: replaying this request (an RPC retry or a
   // fault-injected duplicate) leaves the count unchanged.
   owner_->SyncStoredStats(node_);

@@ -184,12 +184,11 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
     // the constant and immediately materialize the column).
     std::vector<double> means;
     const bool uncertain = attrs[a].uncertain;
+    // Cells start null, so null cells need no write; non-uncertain
+    // int64/double values go straight into their typed columns.
     for (size_t i = 0; i < present_ranks.size(); ++i) {
       int64_t rank = present_ranks[i];
-      if (nulls[i]) {
-        b.Set(rank, Value::Null());
-        continue;
-      }
+      if (nulls[i]) continue;
       value_positions.push_back(i);
       switch (attrs[a].type) {
         case DataType::kBool: {
@@ -203,7 +202,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
           if (uncertain) {
             means.push_back(static_cast<double>(prev_i64));
           } else {
-            b.Set(rank, Value(prev_i64));
+            b.SetInt64(rank, prev_i64);
           }
           break;
         }
@@ -221,7 +220,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
           if (uncertain) {
             means.push_back(v);
           } else {
-            b.Set(rank, Value(v));
+            b.SetDouble(rank, v);
           }
           break;
         }
@@ -232,10 +231,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
         }
         case DataType::kArray: {
           ASSIGN_OR_RETURN(uint64_t nd, r.GetVarint());
-          if (nd == 0) {
-            b.Set(rank, Value::Null());
-            break;
-          }
+          if (nd == 0) break;  // no nested array: the cell stays null
           // Each shape entry is at least one varint byte, so a declared
           // rank beyond the remaining payload is corruption — checked
           // before resize() so a 5-byte varint cannot demand a 2^60-entry

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -168,8 +169,12 @@ Result<MemArray> DiskArray::ReadRegion(const Box& query) const {
   if (query.ndims() != schema_.ndims()) {
     return Status::Invalid("query box arity mismatch");
   }
+  // Upsert in bucket-id order, as ReadAll does: overlapping buckets then
+  // resolve last-writer-wins whatever order the R-tree returns them in.
+  std::vector<uint64_t> ids = rtree_.Search(query);
+  std::sort(ids.begin(), ids.end());
   MemArray out(schema_);
-  for (uint64_t id : rtree_.Search(query)) {
+  for (uint64_t id : ids) {
     auto it = buckets_.find(id);
     if (it == buckets_.end()) {
       return Status::Internal("r-tree references missing bucket " +
@@ -177,19 +182,7 @@ Result<MemArray> DiskArray::ReadRegion(const Box& query) const {
     }
     ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> chunk,
                      ReadBucket(it->second));
-    if (!chunk->box().Intersects(query)) continue;
-    Box want = chunk->box().Intersect(query);
-    Coordinates c = want.low;
-    std::vector<Value> cell;
-    do {
-      int64_t rank = RankInBox(chunk->box(), c);
-      if (!chunk->IsPresent(rank)) continue;
-      cell.clear();
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        cell.push_back(chunk->block(a).Get(rank));
-      }
-      RETURN_NOT_OK(out.SetCell(c, cell));
-    } while (NextInBox(want, &c));
+    RETURN_NOT_OK(out.UpsertChunk(*chunk, &query));
   }
   return out;
 }
@@ -217,27 +210,23 @@ Result<MemArray> DiskArray::ReadAll(ThreadPool* pool) const {
     }
   }
 
-  // Phase 2 (always single-threaded): scatter cells in bucket-id order,
-  // so overlapping buckets resolve last-writer-wins identically at every
-  // pool width.
+  // Phase 2 (always single-threaded): upsert the buckets in bucket-id
+  // order, so overlapping buckets resolve last-writer-wins identically at
+  // every pool width. Grid-aligned buckets are adopted (copied out of the
+  // cache's shared entry); merged ones are split over their grid slots.
   MemArray out(schema_);
-  std::vector<Value> cell;
   for (const std::shared_ptr<const Chunk>& chunk : slots) {
-    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-      cell.clear();
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        cell.push_back(chunk->block(a).Get(it.rank()));
-      }
-      RETURN_NOT_OK(out.SetCell(it.coords(), cell));
-    }
+    RETURN_NOT_OK(out.UpsertChunk(*chunk));
   }
   return out;
 }
 
 Result<std::optional<std::vector<Value>>> DiskArray::ReadCell(
     const Coordinates& c) const {
-  Box point(c, c);
-  for (uint64_t id : rtree_.Search(point)) {
+  // The newest bucket holding the cell is its last writer.
+  std::vector<uint64_t> ids = rtree_.Search(Box(c, c));
+  std::sort(ids.rbegin(), ids.rend());
+  for (uint64_t id : ids) {
     auto it = buckets_.find(id);
     if (it == buckets_.end()) continue;
     ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> chunk,
@@ -292,14 +281,7 @@ Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {
     merged_box.ExpandToInclude(b->box());
     Chunk merged(merged_box, schema_.attrs());
     for (const Chunk* src : {a.get(), b.get()}) {
-      for (Chunk::CellIterator it(*src); it.valid(); it.Next()) {
-        Coordinates c = it.coords();
-        int64_t rank = RankInBox(merged_box, c);
-        for (size_t at = 0; at < merged.nattrs(); ++at) {
-          merged.block(at).Set(rank, src->block(at).Get(it.rank()));
-        }
-        merged.MarkPresent(rank);
-      }
+      merged.CopyPresentFrom(*src, src->box());
     }
     uint64_t id_a = first->id;
     uint64_t id_b = second->id;

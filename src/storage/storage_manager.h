@@ -55,13 +55,14 @@ class DiskArray {
   // Persists every chunk of `array` as a bucket.
   Status WriteAll(const MemArray& array);
 
-  // Reads the cells intersecting `query` into a grid-aligned MemArray.
+  // Reads the cells intersecting `query` into a grid-aligned MemArray
+  // (each bucket's chunk upserted clipped to `query`).
   Result<MemArray> ReadRegion(const Box& query) const;
 
   // Reads the whole array. With a pool, bucket read+decompress+decode
-  // runs chunk-parallel (one bucket per morsel); the scatter into the
-  // output array stays single-threaded in bucket-id order, so the result
-  // is identical at every pool width (DESIGN.md §8).
+  // runs chunk-parallel (one bucket per morsel); the chunk upserts into
+  // the output array stay single-threaded in bucket-id order, so the
+  // result is identical at every pool width (DESIGN.md §8).
   Result<MemArray> ReadAll(ThreadPool* pool = nullptr) const;
 
   // Single cell lookup (empty optional when absent).

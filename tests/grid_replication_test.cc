@@ -166,6 +166,40 @@ TEST(GridReplicationTest, ReplayedLoadIsIdempotent) {
   }
 }
 
+TEST(GridReplicationTest, DuplicatedChunkPutLeavesTheSameShard) {
+  // Every ChunkPut delivered twice — the RPC-retry case: the first copy
+  // of a whole chunk is adopted into its free slot, the replay upserts
+  // the same cells into it; one-cell writes land in held chunks. Shard
+  // bits and stored-cell accounting match the single-delivery run.
+  MemArray src = UniformSky(67);
+  auto run = [&](double dup_p) {
+    GridNetOptions net;
+    net.fault_seed = 5;
+    net.fault_profile = net::FaultProfile{};
+    net.fault_profile.dup_p = dup_p;
+    auto d = std::make_unique<DistributedArray>(Sky(), QuadPartitioner(),
+                                                net);
+    SCIDB_CHECK(d->Load(src, 0).ok());
+    SCIDB_CHECK(d->SetCell({3, 3}, {Value(-1.0)}, 0).ok());
+    SCIDB_CHECK(d->SetCell({16, 1}, {Value::Null()}, 0).ok());
+    return d;
+  };
+  std::unique_ptr<DistributedArray> once = run(0.0);
+  std::unique_ptr<DistributedArray> twice = run(1.0);
+  EXPECT_GT(twice->fault_injector()->frames_duplicated(), 0);
+  EXPECT_EQ(StorageState(*once, {}), StorageState(*twice, {}));
+  std::vector<NodeStats> s1 = once->node_stats();
+  std::vector<NodeStats> s2 = twice->node_stats();
+  ASSERT_EQ(s1.size(), s2.size());
+  int64_t cells = 0;
+  for (size_t n = 0; n < s1.size(); ++n) {
+    EXPECT_EQ(s1[n].cells_stored, s2[n].cells_stored) << "node " << n;
+    EXPECT_EQ(s1[n].bytes_stored, s2[n].bytes_stored) << "node " << n;
+    cells += s2[n].cells_stored;
+  }
+  EXPECT_EQ(cells, 256);
+}
+
 TEST(GridReplicationTest, BytesMovedCountsOnlyNodesNewToTheChunk) {
   // Moved bytes are bytes landing on a node that did not already hold
   // the chunk. At k=2 on two nodes every node already holds every

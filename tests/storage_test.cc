@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "storage/background_merger.h"
 #include "storage/chunk_serde.h"
 #include "storage/codec.h"
@@ -414,6 +420,294 @@ TEST(StorageManagerTest, BackgroundMergerRuns) {
         return a->ReadAll().ValueOrDie().CellCount();
       });
   EXPECT_EQ(count, 100);
+  fs::remove_all(dir);
+}
+
+// ------------------------------- chunk copies vs. a per-cell scatter
+
+// The per-cell scatter DiskArray's reads ran before they copied whole
+// chunks: every present cell of every bucket, in bucket order, through
+// MemArray::SetCell (only those inside `clip`, when given). Kept here
+// only as the oracle.
+MemArray PerCellScatter(const ArraySchema& s,
+                        const std::vector<const Chunk*>& buckets,
+                        const Box* clip = nullptr) {
+  MemArray out(s);
+  for (const Chunk* b : buckets) {
+    for (Chunk::CellIterator it(*b); it.valid(); it.Next()) {
+      Coordinates c = it.coords();
+      if (clip != nullptr && !clip->Contains(c)) continue;
+      std::vector<Value> cell;
+      for (size_t a = 0; a < b->nattrs(); ++a) {
+        cell.push_back(b->block(a).Get(it.rank()));
+      }
+      EXPECT_TRUE(out.SetCell(c, cell).ok());
+    }
+  }
+  return out;
+}
+
+// A value's exact identity: type and payload bits.
+std::string Bits(const Value& v) {
+  auto bits = [](double d) {
+    uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+  };
+  std::ostringstream os;
+  if (v.is_null()) {
+    os << "null";
+  } else if (v.is_double()) {
+    os << "d" << bits(v.double_value());
+  } else if (v.is_uncertain()) {
+    os << "u" << bits(v.uncertain_value().mean) << "/"
+       << bits(v.uncertain_value().stderr_);
+  } else if (v.is_int64()) {
+    os << "i" << v.int64_value();
+  } else if (v.is_string()) {
+    os << "s" << v.string_value();
+  } else {
+    os << "?" << v.ToString();
+  }
+  return os.str();
+}
+
+// Same chunk origins and boxes, presence, null flags, value bits and
+// stderr layout (constant or per cell).
+void ExpectSameCells(const MemArray& got, const MemArray& want) {
+  ASSERT_EQ(got.ChunkCount(), want.ChunkCount());
+  auto g = got.chunks().begin();
+  for (const auto& [origin, wc] : want.chunks()) {
+    SCOPED_TRACE("chunk " + CoordsToString(origin));
+    ASSERT_EQ(g->first, origin);
+    const Chunk& gc = *g->second;
+    ASSERT_EQ(gc.box(), wc->box());
+    ASSERT_EQ(gc.present_count(), wc->present_count());
+    for (size_t a = 0; a < wc->nattrs(); ++a) {
+      EXPECT_EQ(gc.block(a).has_constant_stderr(),
+                wc->block(a).has_constant_stderr())
+          << "attr " << a;
+    }
+    for (int64_t r = 0; r < wc->cell_capacity(); ++r) {
+      ASSERT_EQ(gc.IsPresent(r), wc->IsPresent(r)) << "rank " << r;
+      if (!wc->IsPresent(r)) continue;
+      for (size_t a = 0; a < wc->nattrs(); ++a) {
+        ASSERT_EQ(Bits(gc.block(a).Get(r)), Bits(wc->block(a).Get(r)))
+            << "rank " << r << " attr " << a;
+      }
+    }
+    ++g;
+  }
+}
+
+// Every kind of column a chunk copy moves: double, string, nested
+// array, and uncertain doubles with a constant and a varying error bar.
+ArraySchema CopySchema(const std::string& name) {
+  return ArraySchema(name, {{"x", 1, 20, 8}, {"y", 1, 20, 8}},
+                     {{"v", DataType::kDouble, true, false},
+                      {"s", DataType::kString, true, false},
+                      {"arr", DataType::kArray, true, false},
+                      {"uc", DataType::kDouble, true, true},
+                      {"uv", DataType::kDouble, true, true}});
+}
+
+// A bucket over `box` whose cells are present where `keep` says, with
+// values tagged by `tag` so a later writer's cells are told apart.
+template <typename Keep>
+Chunk Bucket(const ArraySchema& s, const Box& box, double tag, Keep keep) {
+  Chunk c(box, s.attrs());
+  Coordinates x = box.low;
+  do {
+    if (!keep(x)) continue;
+    const double base = tag * 1000 + static_cast<double>(x[0] * 20 + x[1]);
+    std::vector<Value> cell = {
+        x[1] % 5 == 0 ? Value::Null() : Value(base + 0.25),
+        Value(std::to_string(static_cast<int64_t>(base))),
+        Value::Null(),
+        Value(Uncertain(base, 0.5)),
+        Value(Uncertain(-base, 0.01 * static_cast<double>(x[0] % 4)))};
+    if (x[0] % 3 == 0) {
+      auto na = std::make_shared<NestedArray>();
+      na->shape = {2};
+      na->values = {Value(base), Value(-base)};
+      cell[2] = Value(std::move(na));
+    }
+    c.SetCell(x, cell);
+  } while (NextInBox(box, &x));
+  return c;
+}
+
+TEST(ChunkCopyTest, LaterBucketWinsAtEveryWidthAndInRegions) {
+  std::string dir = TempDir("lastwriter");
+  StorageManager sm(dir);
+  const ArraySchema s = CopySchema("ow");
+  DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+  arr->EnableCache(1 << 20);
+  auto all = [](const Coordinates&) { return true; };
+  // A grid-aligned bucket (adopted whole), then two off-grid buckets
+  // that overwrite parts of it and of each other, one of them sparse.
+  const Chunk aligned = Bucket(s, Box({1, 1}, {8, 8}), 1, all);
+  const Chunk off = Bucket(s, Box({3, 5}, {14, 12}), 2, all);
+  const Chunk sparse = Bucket(s, Box({7, 1}, {20, 8}), 3,
+                              [](const Coordinates& c) {
+                                return (c[0] + c[1]) % 2 == 0;
+                              });
+  for (const Chunk* b : {&aligned, &off, &sparse}) {
+    ASSERT_TRUE(arr->WriteBucket(*b).ok());
+  }
+  const MemArray want = PerCellScatter(s, {&aligned, &off, &sparse});
+
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  for (ThreadPool* pool :
+       {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
+    SCOPED_TRACE(pool == nullptr ? 1 : pool->parallelism());
+    MemArray got = arr->ReadAll(pool).ValueOrDie();
+    ExpectSameCells(got, want);
+    // The adopted chunk is a copy: writing through the result leaves
+    // the cached bucket alone.
+    ASSERT_TRUE(got.SetCell({1, 1}, {Value(-1.0), Value("x"), Value::Null(),
+                                     Value(Uncertain(1, 9)),
+                                     Value(Uncertain(1, 9))})
+                    .ok());
+  }
+  ExpectSameCells(arr->ReadAll().ValueOrDie(), want);
+
+  // Region reads clip the same upserts; this box sits half a chunk off
+  // the grid, and the second one only touches absent cells of `sparse`
+  // and so adds no chunk.
+  for (const Box& q : {Box({5, 5}, {16, 16}), Box({15, 2}, {15, 2})}) {
+    SCOPED_TRACE(q.ToString());
+    ExpectSameCells(arr->ReadRegion(q).ValueOrDie(),
+                    PerCellScatter(s, {&aligned, &off, &sparse}, &q));
+  }
+  EXPECT_EQ(arr->ReadRegion(Box({15, 2}, {15, 2})).ValueOrDie().ChunkCount(),
+            0u);
+  fs::remove_all(dir);
+}
+
+TEST(ChunkCopyTest, ManyOverlappingBucketsResolveInWriteOrder) {
+  // More buckets than one R-tree node holds, all overlapping cell 5: the
+  // tree splits, so its search order is not the write order, yet box
+  // and cell reads must agree with ReadAll on the last writer.
+  std::string dir = TempDir("manyoverlap");
+  StorageManager sm(dir);
+  ArraySchema s("many", {{"x", 1, 1000, 10}},
+                {{"v", DataType::kDouble, true, false}});
+  DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+  std::vector<Chunk> written;
+  for (int i = 0; i < 40; ++i) {
+    const int64_t far = 20 * i + 100;
+    Chunk c(Box({5}, {far}), s.attrs());
+    c.SetCell({5}, {Value(static_cast<double>(i))});
+    c.SetCell({far}, {Value(1.0)});
+    ASSERT_TRUE(arr->WriteBucket(c).ok());
+    written.push_back(std::move(c));
+  }
+  std::vector<const Chunk*> order;
+  for (const Chunk& c : written) order.push_back(&c);
+  const Box q({1}, {10});
+  ExpectSameCells(arr->ReadRegion(q).ValueOrDie(),
+                  PerCellScatter(s, order, &q));
+  EXPECT_EQ((*arr->ReadRegion(q).ValueOrDie().GetCell({5}))[0].double_value(),
+            39.0);
+  EXPECT_EQ((*arr->ReadCell({5}).ValueOrDie())[0].double_value(), 39.0);
+  ExpectSameCells(arr->ReadAll().ValueOrDie(), PerCellScatter(s, order));
+  fs::remove_all(dir);
+}
+
+TEST(ChunkCopyTest, OffGridBucketAddsOnlyOccupiedSlots) {
+  const ArraySchema s = CopySchema("slots");
+  // Spans four grid slots but holds cells in one of them only.
+  const Chunk b = Bucket(s, Box({5, 5}, {12, 12}), 1,
+                         [](const Coordinates& c) {
+                           return c[0] >= 9 && c[1] >= 9;
+                         });
+  MemArray got(s);
+  ASSERT_TRUE(got.UpsertChunk(b).ok());
+  ExpectSameCells(got, PerCellScatter(s, {&b}));
+  EXPECT_EQ(got.ChunkCount(), 1u);
+  // An all-absent chunk adds nothing.
+  MemArray empty(s);
+  ASSERT_TRUE(empty.UpsertChunk(Chunk(Box({1, 1}, {8, 8}), s.attrs())).ok());
+  EXPECT_EQ(empty.ChunkCount(), 0u);
+}
+
+TEST(ChunkCopyTest, UpsertRejectsWhatSetCellRejects) {
+  const ArraySchema s = CopySchema("bad");
+  MemArray a(s);
+  auto all = [](const Coordinates&) { return true; };
+  // Reaches past the declared bounds (x <= 20).
+  const Chunk outside = Bucket(s, Box({18, 1}, {22, 4}), 1, all);
+  EXPECT_TRUE(a.UpsertChunk(outside).IsOutOfRange());
+  EXPECT_EQ(a.ChunkCount(), 0u);
+  // A box reaching past the bounds with only in-bound cells is fine.
+  const Chunk inside = Bucket(s, Box({18, 1}, {22, 4}), 1,
+                              [](const Coordinates& c) { return c[0] <= 20; });
+  ASSERT_TRUE(a.UpsertChunk(inside).ok());
+  ExpectSameCells(a, PerCellScatter(s, {&inside}));
+  // Attribute types must match the schema's.
+  ArraySchema other("other", s.dims(), {{"v", DataType::kInt64, true, false}});
+  Chunk mismatched(Box({1, 1}, {8, 8}), other.attrs());
+  mismatched.SetCell({1, 1}, {Value(int64_t{1})});
+  EXPECT_TRUE(a.UpsertChunk(mismatched).IsInvalid());
+}
+
+TEST(ChunkCopyTest, MergedBucketsSpanningTwoSlotsReadBack) {
+  std::string dir = TempDir("mergedslots");
+  StorageManager sm(dir);
+  const ArraySchema s = CopySchema("merged");
+  DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+  std::vector<Chunk> written;
+  for (int64_t x0 : {1, 9, 17}) {
+    for (int64_t y0 : {1, 9, 17}) {
+      Box box({x0, y0}, {std::min<int64_t>(x0 + 7, 20),
+                         std::min<int64_t>(y0 + 7, 20)});
+      written.push_back(Bucket(s, box, 1, [&](const Coordinates& c) {
+        return (c[0] * 7 + c[1]) % 3 != 0;
+      }));
+    }
+  }
+  std::vector<const Chunk*> order;
+  for (const Chunk& b : written) {
+    ASSERT_TRUE(arr->WriteBucket(b).ok());
+    order.push_back(&b);
+  }
+  const MemArray want = PerCellScatter(s, order);
+  ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+  ASSERT_LT(arr->bucket_count(), written.size());
+  ThreadPool pool8(8);
+  ExpectSameCells(arr->ReadAll().ValueOrDie(), want);
+  ExpectSameCells(arr->ReadAll(&pool8).ValueOrDie(), want);
+  const Box q({4, 4}, {13, 13});
+  ExpectSameCells(arr->ReadRegion(q).ValueOrDie(),
+                  PerCellScatter(s, order, &q));
+  fs::remove_all(dir);
+}
+
+TEST(ChunkCopyTest, ChunksSplitAcrossLoaderFlushesReadBack) {
+  std::string dir = TempDir("loadersplit");
+  StorageManager sm(dir);
+  const ArraySchema s = CopySchema("split");
+  DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+  // Row-major appends with a small budget: flushes cut grid chunks in
+  // half, so several buckets share a slot.
+  StreamLoader loader(arr, /*memory_budget=*/12 * 1024);
+  const Chunk all = Bucket(s, Box({1, 1}, {20, 20}), 1,
+                           [](const Coordinates& c) { return c[1] != 7; });
+  for (Chunk::CellIterator it(all); it.valid(); it.Next()) {
+    std::vector<Value> cell;
+    for (size_t a = 0; a < all.nattrs(); ++a) {
+      cell.push_back(all.block(a).Get(it.rank()));
+    }
+    ASSERT_TRUE(loader.Append(it.coords(), cell).ok());
+  }
+  ASSERT_TRUE(loader.Finish().ok());
+  ASSERT_GT(loader.flushes(), 1);
+  const MemArray want = PerCellScatter(s, {&all});
+  ThreadPool pool2(2);
+  ExpectSameCells(arr->ReadAll().ValueOrDie(), want);
+  ExpectSameCells(arr->ReadAll(&pool2).ValueOrDie(), want);
   fs::remove_all(dir);
 }
 
